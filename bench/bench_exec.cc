@@ -200,11 +200,13 @@ void BM_ExecParallelGroupBy10M(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000000);
 }
 
-// The OD-proven order-preserving merge on a 2M-row ordered scan: fragments
-// of the income-index stream recombined without any sort. The serial
-// row-at-a-time merge caps the ceiling, so this family is reported by the
-// gate but not required — it documents the merge overhead rather than
-// hiding it.
+// The OD-proven ordered recombination on a 2M-row ordered scan: fragments
+// of the income-index stream recombined without any sort, in fragment
+// order. Every row passes through the one consumer (the plan is a pure
+// pass-through with nothing per-row to parallelize), and later fragments
+// park once their bounded queues fill, so the serial consumer caps the
+// ceiling. This family is reported by the gate but not required — it
+// documents the pass-through overhead rather than hiding it.
 void BM_ExecParallelOrderedMerge2M(benchmark::State& state) {
   TaxWorkload& w = GetTax(2000000);
   opt::LogicalQuery q =
@@ -234,9 +236,11 @@ void BM_ExecParallelOrderedMerge2M(benchmark::State& state) {
 
 // The streaming exchange end to end: daily sales over a 10M-row fact,
 // planned as per-fragment stream-aggregate partials behind the OD-proven
-// ordered exchange (+ combine). Fragments push batches through the bounded
-// queues while the consumer merges — nothing materializes, so the dop
-// sweep measures the streaming path itself.
+// ordered exchange (+ combine). Fragments push coalesced partial batches
+// through the row-bounded queues, which hold a whole fragment's partials,
+// while the consumer concatenates them in fragment order — nothing
+// materializes and no producer waits, so the dop sweep measures the
+// parallel scan-and-aggregate itself.
 void BM_ExecParallelStreamingExchange10M(benchmark::State& state) {
   StarWorkload& w = GetStar(10000000);
   opt::LogicalQuery q = warehouse::DailySalesQuery(

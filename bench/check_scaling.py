@@ -9,8 +9,13 @@ the machine under test with JSON output, then assert that for every
 benchmark family matched by --require, the BEST threaded entry is at least
 --min-speedup times faster than its threads=1 entry.
 
+When a JSON file carries `median` aggregates (the benchmark ran with
+--benchmark_repetitions > 1), the gate compares those medians and ignores
+the single repetitions, so one noisy repetition cannot pass or fail it.
+
 Usage (what CI does):
-  ./build/bench/bench_parallel_prover --benchmark_format=json \
+  ./build/bench/bench_parallel_prover --benchmark_repetitions=3 \
+      --benchmark_format=json \
       --benchmark_out=/tmp/pp.json --benchmark_out_format=json
   python3 bench/check_scaling.py --min-cores 4 --min-speedup 3 \
       --require 'BM_ProveAll' /tmp/pp.json
@@ -28,17 +33,22 @@ import sys
 
 
 def load_families(paths):
-    """{family name: {thread count: real_time ns}} across the given JSONs."""
+    """{family name: {thread count: real_time ns}} across the given JSONs.
+
+    Per file: the `median` aggregates when there are any, else the plain
+    iterations (the last one per name, as before repetitions existed)."""
     families = {}
     suffix = re.compile(r"^(?P<family>.+?)/(?:threads:)?(?P<arg>\d+)"
                         r"(?P<rest>/real_time)?$")
     for path in paths:
         with open(path) as f:
             doc = json.load(f)
-        for b in doc.get("benchmarks", []):
-            if b.get("run_type") == "aggregate":
-                continue
-            m = suffix.match(b["name"])
+        entries = doc.get("benchmarks", [])
+        medians = [b for b in entries if b.get("run_type") == "aggregate"
+                   and b.get("aggregate_name") == "median"]
+        plain = [b for b in entries if b.get("run_type") != "aggregate"]
+        for b in medians or plain:
+            m = suffix.match(b.get("run_name", b["name"]))
             if not m:
                 continue
             unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[

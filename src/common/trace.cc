@@ -176,13 +176,18 @@ void TraceSpan::Open(const char* name) {
 
 void TraceSpan::Close() {
   const auto end = std::chrono::steady_clock::now();
+  // Both ends truncate to microseconds from the same epoch, so a span
+  // nested in another stays nested after rounding (a duration truncated
+  // on its own could end a child 1 µs past its parent).
   const int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(
           start_.time_since_epoch())
           .count();
   const int64_t dur_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count();
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          end.time_since_epoch())
+          .count() -
+      start_us;
   Tracer::PopDepth();
   Tracer::SetCurrentContext(prev_);
   Tracer::Global().Record(name_, start_us, dur_us, depth_, prev_.trace_id,

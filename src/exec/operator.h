@@ -72,6 +72,17 @@ class Operator {
  protected:
   static std::string Pad(int indent) { return std::string(indent * 2, ' '); }
 
+  /// Clears (or lazily types) the caller's batch before Next fills it. A
+  /// batch is meant to be reused against one operator; the column-count
+  /// guard re-types it when a caller switches operators.
+  void PrepareBatch(Batch* out) const {
+    if (out->num_columns() == schema_.num_columns()) {
+      out->Clear();
+    } else {
+      out->Reset(schema_);
+    }
+  }
+
   engine::Schema schema_;
   engine::SortSpec ordering_;
 
@@ -140,8 +151,11 @@ OpPtr Project(OpPtr child, std::vector<engine::ColumnId> cols);
 /// equal keys, i.e. a group reappearing later produces a duplicate output
 /// row. Output schema: group columns, then one column per aggregate; output
 /// ordering: the prefix of the child's ordering covered by group columns.
+/// Output is coalesced: each batch carries up to `batch_rows` groups, so
+/// few groups per child batch do not turn into a stream of 1-row batches.
 OpPtr StreamAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
-                      std::vector<engine::AggSpec> aggs);
+                      std::vector<engine::AggSpec> aggs,
+                      int64_t batch_rows = kDefaultBatchRows);
 
 /// Streaming DISTINCT — StreamAggregate with no aggregates; same
 /// contiguity precondition and run-per-group behavior on violation.

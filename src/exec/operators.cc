@@ -115,20 +115,6 @@ bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   return false;
 }
 
-/// Shared base: operators clear (or lazily type) the caller's batch before
-/// filling it. A batch is meant to be reused against one operator; the
-/// column-count guard re-types it when a caller switches operators.
-class OperatorBase : public Operator {
- protected:
-  void PrepareBatch(Batch* out) const {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
-  }
-};
-
 /// Emits [pos, pos + batch_rows) of a materialized table and advances pos.
 /// The slice helper behind Scan and every pipeline breaker's emit phase.
 bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
@@ -146,7 +132,7 @@ bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
 // ---------------------------------------------------------------------------
 // Scans.
 
-class ScanOp : public OperatorBase {
+class ScanOp : public Operator {
  public:
   ScanOp(const Table* table, int64_t row_begin, int64_t row_end,
          opt::ExecStats* stats, int64_t batch_rows)
@@ -186,7 +172,7 @@ class ScanOp : public OperatorBase {
   int64_t end_ = 0;
 };
 
-class IndexRangeScanOp : public OperatorBase {
+class IndexRangeScanOp : public Operator {
  public:
   IndexRangeScanOp(const engine::OrderedIndex* index,
                    std::optional<std::pair<int64_t, int64_t>> range,
@@ -249,7 +235,7 @@ class IndexRangeScanOp : public OperatorBase {
   int64_t end_ = 0;
 };
 
-class PartitionedScanOp : public OperatorBase {
+class PartitionedScanOp : public Operator {
  public:
   PartitionedScanOp(const engine::PartitionedTable* table,
                     std::optional<std::pair<int64_t, int64_t>> range,
@@ -339,7 +325,7 @@ class PartitionedScanOp : public OperatorBase {
 // ---------------------------------------------------------------------------
 // Order-preserving streaming operators.
 
-class FilterOp : public OperatorBase {
+class FilterOp : public Operator {
  public:
   FilterOp(OpPtr child, std::vector<Predicate> preds)
       : child_(std::move(child)), preds_(std::move(preds)) {
@@ -377,7 +363,7 @@ class FilterOp : public OperatorBase {
   Batch scratch_;
 };
 
-class ProjectOp : public OperatorBase {
+class ProjectOp : public Operator {
  public:
   ProjectOp(OpPtr child, std::vector<ColumnId> cols)
       : child_(std::move(child)), cols_(std::move(cols)) {
@@ -419,14 +405,18 @@ class ProjectOp : public OperatorBase {
   Batch scratch_;
 };
 
-class StreamAggregateOp : public OperatorBase {
+class StreamAggregateOp : public Operator {
  public:
   StreamAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
-                    std::vector<AggSpec> aggs)
+                    std::vector<AggSpec> aggs, int64_t batch_rows)
       : child_(std::move(child)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
-        accs_(aggs_.size()) {
+        accs_(aggs_.size()),
+        batch_rows_(batch_rows) {
+    if (batch_rows_ < 1) {
+      throw std::invalid_argument("exec::StreamAggregate: batch_rows < 1");
+    }
     CheckColumns(child_->schema(), group_cols_, "exec::StreamAggregate");
     for (const auto& a : aggs_) {
       if (a.kind != AggSpec::Kind::kCount) {
@@ -447,35 +437,42 @@ class StreamAggregateOp : public OperatorBase {
     }
   }
 
+  /// Coalesces: fills `out` with up to batch_rows finished groups before
+  /// returning, resuming mid-way through the child's batch on the next
+  /// call (a group finishes only when the next one starts, so each row
+  /// emits at most one group and the batch never overshoots).
   bool Next(Batch* out) override {
     PrepareBatch(out);
-    if (done_) return false;
-    while (out->empty()) {
-      if (!child_->Next(&scratch_)) {
-        done_ = true;
-        if (has_group_) EmitGroup(out);
-        return !out->empty();
+    while (out->num_rows() < batch_rows_) {
+      if (pos_ >= scratch_.num_rows()) {
+        if (done_) break;
+        pos_ = 0;
+        if (!child_->Next(&scratch_)) {
+          scratch_.Clear();
+          done_ = true;
+          if (has_group_) EmitGroup(out);
+          break;
+        }
       }
-      for (int64_t r = 0; r < scratch_.num_rows(); ++r) {
-        if (has_group_ &&
-            Batch::CompareRows(rep_, 0, scratch_, r, group_cols_) != 0) {
-          EmitGroup(out);
-        }
-        if (!has_group_) {
-          rep_.Clear();
-          rep_.AppendRows(scratch_, r, r + 1);
-          has_group_ = true;
-        }
-        for (size_t i = 0; i < aggs_.size(); ++i) {
-          if (aggs_[i].kind == AggSpec::Kind::kCount) {
-            accs_[i].AddCountOnly();
-          } else {
-            accs_[i].Add(scratch_.col(aggs_[i].col).Numeric(r));
-          }
+      const int64_t r = pos_++;
+      if (has_group_ &&
+          Batch::CompareRows(rep_, 0, scratch_, r, group_cols_) != 0) {
+        EmitGroup(out);
+      }
+      if (!has_group_) {
+        rep_.Clear();
+        rep_.AppendRows(scratch_, r, r + 1);
+        has_group_ = true;
+      }
+      for (size_t i = 0; i < aggs_.size(); ++i) {
+        if (aggs_[i].kind == AggSpec::Kind::kCount) {
+          accs_[i].AddCountOnly();
+        } else {
+          accs_[i].Add(scratch_.col(aggs_[i].col).Numeric(r));
         }
       }
     }
-    return true;
+    return !out->empty();
   }
 
   std::string Describe(int indent) const override {
@@ -507,6 +504,8 @@ class StreamAggregateOp : public OperatorBase {
   std::vector<Acc> accs_;
   Batch scratch_;
   Batch rep_;  // one row: the current group's representative
+  int64_t batch_rows_;
+  int64_t pos_ = 0;  // next unread row of scratch_
   bool has_group_ = false;
   bool done_ = false;
 };
@@ -530,7 +529,7 @@ struct Cursor {
   void Advance() { ++pos; }
 };
 
-class MergeJoinOp : public OperatorBase {
+class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
               opt::ExecStats* stats, const std::string& right_prefix)
@@ -634,7 +633,7 @@ class MergeJoinOp : public OperatorBase {
   int left_cols_ = 0;
 };
 
-class LimitOp : public OperatorBase {
+class LimitOp : public Operator {
  public:
   LimitOp(OpPtr child, int64_t n)
       : child_(std::move(child)), n_(n), remaining_(n) {
@@ -671,7 +670,7 @@ class LimitOp : public OperatorBase {
 // Pipeline breakers. Each consumes its child via Drain(child, nullptr)
 // (no output-side stats: rows_output/batches describe the pipeline root).
 
-class SortOp : public OperatorBase {
+class SortOp : public Operator {
  public:
   SortOp(OpPtr child, SortSpec spec, opt::ExecStats* stats,
          int64_t batch_rows)
@@ -717,7 +716,7 @@ class SortOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class TopKOp : public OperatorBase {
+class TopKOp : public Operator {
  public:
   TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats)
       : child_(std::move(child)), spec_(std::move(spec)), k_(k),
@@ -764,7 +763,7 @@ class TopKOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class HashAggregateOp : public OperatorBase {
+class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
                   std::vector<AggSpec> aggs)
@@ -804,7 +803,7 @@ class HashAggregateOp : public OperatorBase {
   int64_t pos_ = 0;
 };
 
-class HashJoinOp : public OperatorBase {
+class HashJoinOp : public Operator {
  public:
   HashJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
              opt::ExecStats* stats, const std::string& right_prefix)
@@ -882,7 +881,7 @@ class HashJoinOp : public OperatorBase {
 // ---------------------------------------------------------------------------
 // Verification.
 
-class CheckOrderOp : public OperatorBase {
+class CheckOrderOp : public Operator {
  public:
   explicit CheckOrderOp(OpPtr child) : child_(std::move(child)) {
     schema_ = child_->schema();
@@ -967,9 +966,9 @@ OpPtr Project(OpPtr child, std::vector<ColumnId> cols) {
 }
 
 OpPtr StreamAggregate(OpPtr child, std::vector<ColumnId> group_cols,
-                      std::vector<AggSpec> aggs) {
+                      std::vector<AggSpec> aggs, int64_t batch_rows) {
   return std::make_unique<StreamAggregateOp>(
-      std::move(child), std::move(group_cols), std::move(aggs));
+      std::move(child), std::move(group_cols), std::move(aggs), batch_rows);
 }
 
 OpPtr StreamDistinct(OpPtr child, std::vector<ColumnId> cols) {

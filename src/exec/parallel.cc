@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -41,6 +40,33 @@ bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
   return std::equal(spec.begin(), spec.end(), ordering.begin());
 }
 
+/// `text` with every line indented `indent` levels (a fragment template's
+/// Describe under its parallel operator).
+std::string IndentLines(const std::string& text, int indent) {
+  const std::string pad(indent * 2, ' ');
+  std::string out;
+  for (size_t start = 0; start < text.size();) {
+    size_t nl = text.find('\n', start);
+    if (nl == std::string::npos) nl = text.size();
+    out += pad + text.substr(start, nl - start) + "\n";
+    start = nl + 1;
+  }
+  return out;
+}
+
+/// Adds the fragments' private stats into `stats` once they have joined. A
+/// fragment's rows_output/batches describe the fragment's stream, not the
+/// pipeline root's; the root sink re-counts its own output.
+void MergeFragmentStats(const std::vector<opt::ExecStats>& frags,
+                        opt::ExecStats* stats) {
+  stats->fragments += static_cast<int>(frags.size());
+  for (opt::ExecStats partial : frags) {
+    partial.rows_output = 0;
+    partial.batches = 0;
+    stats->Merge(partial);
+  }
+}
+
 /// Per-fragment drain wall-clock, for spotting skewed morsels in a scrape.
 common::Histogram& FragmentDrainHistogram() {
   static common::Histogram* h =
@@ -50,9 +76,19 @@ common::Histogram& FragmentDrainHistogram() {
   return *h;
 }
 
+/// Process-wide mirror of ExecStats::exchange_parks.
+common::Counter& ExchangeParksCounter() {
+  static common::Counter* c = &common::MetricRegistry::Global().GetCounter(
+      "od_exec_exchange_parks_total",
+      "Times an exchange producer pump parked on a full fragment queue");
+  return *c;
+}
+
 /// The bounded batch queue between one exchange producer pump and the
 /// consumer (one queue per fragment, single-producer single-consumer).
-/// Capacity bounds the exchange's resident footprint.
+/// Capacity is counted in queued *rows*, so it bounds the exchange's
+/// resident footprint whatever the producer's batch sizes: a fragment
+/// emitting small batches runs as far ahead as one emitting full ones.
 ///
 /// The producer NEVER blocks: a pump that finds the queue full *parks* —
 /// it returns its thread to the scheduler, and the next Pop that frees
@@ -65,29 +101,35 @@ class BatchQueue {
   enum class Reserve { kReady, kParked, kCancelled };
 
   /// `resident`/`peak` are the owning exchange's cross-queue row
-  /// accounting (ExecStats::exchange_peak_rows); `on_space` reschedules
-  /// the parked producer (invoked on the consumer thread, outside the
-  /// queue lock).
-  BatchQueue(int capacity, int producers, common::ThreadPool* pool,
+  /// accounting (ExecStats::exchange_peak_rows); `parks` is the fragment's
+  /// private ExecStats::exchange_parks, written only under the queue lock;
+  /// `on_space` reschedules the parked producer (invoked on the consumer
+  /// thread, outside the queue lock).
+  BatchQueue(int64_t capacity_rows, common::ThreadPool* pool,
              std::atomic<int64_t>* resident, std::atomic<int64_t>* peak,
-             std::function<void()> on_space)
-      : capacity_(capacity),
-        open_producers_(producers),
+             int64_t* parks, std::function<void()> on_space)
+      : capacity_rows_(capacity_rows),
         pool_(pool),
         resident_(resident),
         peak_(peak),
+        parks_(parks),
         on_space_(std::move(on_space)) {}
 
-  /// The producer's admission check, made atomically with parking so a
-  /// concurrent Pop can't miss the parked flag: kReady guarantees the next
-  /// Push fits (only the consumer shrinks the queue, so the headroom can't
-  /// vanish), kParked means the pump must return (Pop will resubmit it),
-  /// kCancelled means stop draining the fragment.
-  Reserve ReserveOrPark() {
+  /// The producer's admission check for a batch of `rows` it holds, made
+  /// atomically with parking so a concurrent Pop can't miss the parked
+  /// flag: kReady guarantees the next Push fits (only the consumer shrinks
+  /// the queue, so the headroom can't vanish), kParked means the pump must
+  /// keep the batch and return (Pop resubmits it once the batch fits),
+  /// kCancelled means stop draining the fragment. An empty queue admits
+  /// any batch, so an oversized one cannot wedge its producer.
+  Reserve ReserveOrPark(int64_t rows) {
     std::lock_guard<std::mutex> lock(mu_);
     if (cancelled_) return Reserve::kCancelled;
-    if (static_cast<int>(q_.size()) >= capacity_) {
+    if (!Fits(rows)) {
+      parked_rows_ = rows;
       parked_ = true;
+      ++*parks_;
+      ExchangeParksCounter().Add(1);
       return Reserve::kParked;
     }
     return Reserve::kReady;
@@ -101,6 +143,7 @@ class BatchQueue {
       std::lock_guard<std::mutex> lock(mu_);
       if (cancelled_) return false;
       q_.push_back(std::move(b));
+      queued_rows_ += rows;
     }
     const int64_t now =
         resident_->fetch_add(rows, std::memory_order_relaxed) + rows;
@@ -112,12 +155,13 @@ class BatchQueue {
     return true;
   }
 
-  /// Blocks while empty and producers remain; false once the queue is
-  /// drained-and-closed or cancelled. Freeing space resumes a parked
-  /// producer. While waiting, *helps*: runs queued scheduler tasks — the
-  /// producers this pop is waiting on may themselves be tasks nobody has
-  /// picked up (every worker can sit inside an outer fragment's consumer
-  /// when exchanges nest), so blocking without helping could deadlock.
+  /// Blocks while empty and the producer is open; false once the queue is
+  /// drained-and-closed or cancelled. Freeing room for the parked
+  /// producer's batch resumes it. While waiting, *helps*: runs queued
+  /// scheduler tasks — the producer this pop is waiting on may itself be a
+  /// task nobody has picked up (every worker can sit inside an outer
+  /// fragment's consumer when exchanges nest), so blocking without helping
+  /// could deadlock.
   /// Helping is safe precisely because pumps park instead of blocking:
   /// a stolen task always returns.
   bool Pop(Batch* out) {
@@ -127,31 +171,33 @@ class BatchQueue {
         if (!q_.empty()) {
           *out = std::move(q_.front());
           q_.pop_front();
-          const bool resume = parked_;
-          parked_ = false;
+          queued_rows_ -= out->num_rows();
+          const bool resume = parked_ && Fits(parked_rows_);
+          if (resume) parked_ = false;
           lock.unlock();
           resident_->fetch_sub(out->num_rows(), std::memory_order_relaxed);
           if (resume) on_space_();
           return true;
         }
-        if (cancelled_ || open_producers_ == 0) return false;
+        if (cancelled_ || closed_) return false;
       }
       if (pool_ != nullptr && pool_->RunOneTask()) continue;
       std::unique_lock<std::mutex> lock(mu_);
-      if (!q_.empty() || cancelled_ || open_producers_ == 0) continue;
-      // Nothing runnable and nothing queued: the producers are
-      // mid-execution on other threads. The bounded wait re-polls the
-      // scheduler in case a task is submitted while we sleep (the queue cv
-      // cannot observe pool submissions).
+      if (!q_.empty() || cancelled_ || closed_) continue;
+      // Nothing runnable and nothing queued: the producer is mid-execution
+      // on another thread. The bounded wait re-polls the scheduler in case
+      // a task is submitted while we sleep (the queue cv cannot observe
+      // pool submissions).
       not_empty_.wait_for(lock, std::chrono::milliseconds(1));
     }
   }
 
-  /// Each producer calls exactly once when done (including on error);
-  /// after the last close a drained queue pops false instead of blocking.
+  /// The producer calls exactly once when done (including on error);
+  /// after that a drained queue pops false instead of blocking.
   void CloseProducer() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (--open_producers_ == 0) not_empty_.notify_all();
+    closed_ = true;
+    not_empty_.notify_all();
   }
 
   void Cancel() {
@@ -161,17 +207,24 @@ class BatchQueue {
   }
 
  private:
-  const int capacity_;
-  int open_producers_;  // guarded by mu_
+  bool Fits(int64_t rows) const {
+    return q_.empty() || queued_rows_ + rows <= capacity_rows_;
+  }
+
+  const int64_t capacity_rows_;
   common::ThreadPool* const pool_;
   std::atomic<int64_t>* const resident_;
   std::atomic<int64_t>* const peak_;
+  int64_t* const parks_;  // guarded by mu_
   const std::function<void()> on_space_;
   std::mutex mu_;
   std::condition_variable not_empty_;
   std::deque<Batch> q_;
-  bool cancelled_ = false;  // guarded by mu_
-  bool parked_ = false;     // guarded by mu_: producer awaits on_space_
+  int64_t queued_rows_ = 0;  // guarded by mu_
+  int64_t parked_rows_ = 0;  // guarded by mu_: the parked producer's batch
+  bool closed_ = false;      // guarded by mu_
+  bool cancelled_ = false;   // guarded by mu_
+  bool parked_ = false;      // guarded by mu_: producer awaits on_space_
 };
 
 class ExchangeOp : public Operator {
@@ -199,6 +252,7 @@ class ExchangeOp : public Operator {
     schema_ = frag0_->schema();
     if (mode_ == MergeMode::kOrderedMerge) {
       ordering_ = merge_spec_;
+      last_row_.Reset(schema_);
     } else if (num_fragments_ == 1) {
       ordering_ = frag0_->ordering();
     }
@@ -219,16 +273,12 @@ class ExchangeOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    PrepareBatch(out);
     if (finished_) return false;
     if (!started_) Start();
-    const bool more =
-        mode_ == MergeMode::kUnion ? NextUnion(out) : NextMerge(out);
+    const bool more = NextInFragmentOrder(out);
     if (!more) Finish();  // rethrows the first producer error, if any
+    if (more && mode_ == MergeMode::kOrderedMerge) CheckMergeOrder(*out);
     return more;
   }
 
@@ -241,41 +291,18 @@ class ExchangeOp : public Operator {
       out += " union";
     }
     out += "\n" + Pad(indent + 1) + "fragment template:\n";
-    std::string child = describe_child_;
-    std::string indented;
-    size_t start = 0;
-    while (start < child.size()) {
-      size_t nl = child.find('\n', start);
-      if (nl == std::string::npos) nl = child.size();
-      indented += Pad(indent + 2) + child.substr(start, nl - start) + "\n";
-      start = nl + 1;
-    }
-    return out + indented;
+    return out + IndentLines(describe_child_, indent + 2);
   }
 
  private:
-  struct Cursor {
-    Batch batch;
-    int64_t pos = 0;
-  };
-
   /// Per-fragment pump state, persisted across parks. `op == nullptr`
-  /// before the first pump invocation and again after the fragment closes.
+  /// before the first pump invocation and again after the fragment closes;
+  /// `held` marks a produced batch that parked before it fit the queue.
   struct Producer {
     OpPtr op;
+    Batch batch;
+    bool held = false;
     std::chrono::steady_clock::time_point start;
-  };
-
-  struct HeapCmp {
-    const ExchangeOp* op;
-    bool operator()(int a, int b) const {
-      const Cursor& ca = op->cursors_[a];
-      const Cursor& cb = op->cursors_[b];
-      const int cmp = Batch::CompareRows(ca.batch, ca.pos, cb.batch, cb.pos,
-                                         op->merge_spec_);
-      if (cmp != 0) return cmp > 0;  // min-heap
-      return a > b;  // fragment-index tiebreak: stability
-    }
   };
 
   void ValidateFragment(int i, const Operator* frag) const {
@@ -297,6 +324,25 @@ class ExchangeOp : public Operator {
     }
   }
 
+  /// The runtime half of the ordered-merge proof. Each fragment claims
+  /// merge_spec_ (checked at build), so the fragment-order concatenation
+  /// is ordered iff no fragment starts below where the previous one
+  /// ended — i.e. the morsels are contiguous slices of one ordered
+  /// stream. Checking each emitted batch's first row against the last
+  /// emitted row covers every fragment boundary.
+  void CheckMergeOrder(const Batch& b) {
+    if (last_row_.num_rows() > 0 &&
+        Batch::CompareRows(b, 0, last_row_, 0, merge_spec_) < 0) {
+      throw std::logic_error(
+          "exec::Exchange: ordered merge on " + SpecStr(merge_spec_) +
+          " saw fragment " + std::to_string(union_cur_) +
+          " start below the rows before it — its morsel is not a "
+          "contiguous slice of the ordered stream");
+    }
+    last_row_.Clear();
+    last_row_.AppendRows(b, b.num_rows() - 1, b.num_rows());
+  }
+
   OpPtr TakeFragment(int i) {
     OpPtr frag = i == 0 ? std::move(frag0_) : factory_(i, &frag_stats_[i]);
     ValidateFragment(i, frag.get());
@@ -305,44 +351,29 @@ class ExchangeOp : public Operator {
 
   void Start() {
     started_ = true;
-    parallel_ = pool_ != nullptr && pool_->num_threads() > 1;
+    // Serial pools stream the fragments one at a time in NextInFragmentOrder.
+    if (pool_ == nullptr || pool_->num_threads() <= 1) return;
     const int n = num_fragments_;
-    if (parallel_) {
-      producers_.resize(n);
-      for (int i = 0; i < n; ++i) {
-        queues_.push_back(std::make_unique<BatchQueue>(
-            kExchangeQueueBatches, 1, pool_, &resident_rows_, &peak_rows_,
-            [this, i] { group_->Submit([this, i] { RunProducer(i); }); }));
-      }
-      group_ = std::make_unique<common::TaskGroup>(pool_);
-      for (int i = 0; i < n; ++i) {
-        group_->Submit([this, i] { RunProducer(i); });
-      }
-    } else if (mode_ == MergeMode::kOrderedMerge) {
-      // Serial streaming merge: all fragment heads are needed at once, but
-      // only one batch per fragment is ever resident.
-      serial_frags_.resize(n);
-      for (int i = 0; i < n; ++i) {
-        serial_frags_[i] = TakeFragment(i);
-        serial_frags_[i]->StartConsume("exec::Exchange");
-      }
+    producers_.resize(n);
+    for (int i = 0; i < n; ++i) {
+      queues_.push_back(std::make_unique<BatchQueue>(
+          kExchangeQueueBatches * batch_rows_, pool_, &resident_rows_,
+          &peak_rows_, &frag_stats_[i].exchange_parks,
+          [this, i] { group_->Submit([this, i] { RunProducer(i); }); }));
     }
-    // Serial union builds fragments one at a time inside NextUnion.
-    if (mode_ == MergeMode::kOrderedMerge) {
-      cursors_.resize(n);
-      for (int i = 0; i < n; ++i) {
-        if (Refill(i)) heap_.push(i);
-      }
+    group_ = std::make_unique<common::TaskGroup>(pool_);
+    for (int i = 0; i < n; ++i) {
+      group_->Submit([this, i] { RunProducer(i); });
     }
   }
 
   /// One fragment's producer pump: builds the fragment on first entry,
-  /// then produces batch-by-batch until the queue is full (park: return
-  /// the thread to the scheduler; Pop resubmits this pump when space
-  /// frees), the fragment is exhausted, or the exchange is cancelled. The
-  /// fragment operator is destroyed inside the task on the happy and error
-  /// paths alike, so its RAII state (spill temp files etc.) unwinds where
-  /// it was built.
+  /// then produces batch-by-batch until a batch does not fit the queue
+  /// (park: keep the batch, return the thread to the scheduler; Pop
+  /// resubmits this pump when room frees), the fragment is exhausted, or
+  /// the exchange is cancelled. The fragment operator is destroyed inside
+  /// the task on the happy and error paths alike, so its RAII state (spill
+  /// temp files etc.) unwinds where it was built.
   void RunProducer(int i) {
     BatchQueue& q = *queues_[i];
     Producer& p = producers_[i];
@@ -354,12 +385,15 @@ class ExchangeOp : public Operator {
         p.op->StartConsume("exec::Exchange");
       }
       for (;;) {
-        const auto r = q.ReserveOrPark();
+        if (!p.held) {
+          if (!p.op->Next(&p.batch)) break;
+          p.held = true;
+        }
+        const auto r = q.ReserveOrPark(p.batch.num_rows());
         if (r == BatchQueue::Reserve::kParked) return;
         if (r == BatchQueue::Reserve::kCancelled) break;
-        Batch b;
-        if (!p.op->Next(&b)) break;
-        if (!q.Push(std::move(b))) break;  // cancelled mid-produce
+        p.held = false;
+        if (!q.Push(std::move(p.batch))) break;  // cancelled mid-produce
       }
       p.op.reset();
       FragmentDrainHistogram().Record(
@@ -377,61 +411,32 @@ class ExchangeOp : public Operator {
     q.CloseProducer();
   }
 
-  /// Pulls the next batch of fragment `i` into its cursor (merge mode).
-  bool Refill(int i) {
-    Cursor& cur = cursors_[i];
-    cur.pos = 0;
-    if (parallel_) return queues_[i]->Pop(&cur.batch);
-    return serial_frags_[i]->Next(&cur.batch);
-  }
-
-  bool NextUnion(Batch* out) {
-    if (parallel_) {
-      // Fragments are emitted in fragment order — for row-range morsels
-      // the concatenation IS the serial stream, so even an order-oblivious
-      // consumer (a Sort above, a hash build) sees deterministic input.
-      // Production still interleaves freely: later producers fill their
-      // bounded queues and park, which is what bounds memory.
+  /// Emits the fragments' streams one after another, in fragment order —
+  /// the one recombination path of both modes. For row-range morsels the
+  /// concatenation IS the serial stream, so even an order-oblivious
+  /// consumer (a Sort above, a hash build) sees deterministic input; for
+  /// contiguous morsels of a proven-ordered stream it is exactly what a
+  /// k-way merge with fragment-index tiebreak would produce. Production
+  /// still interleaves freely: later producers fill their row-bounded
+  /// queues and park, which is what bounds memory.
+  bool NextInFragmentOrder(Batch* out) {
+    if (group_ != nullptr) {
       while (union_cur_ < num_fragments_) {
-        Batch b;
-        if (queues_[union_cur_]->Pop(&b)) {
-          *out = std::move(b);
-          return true;
-        }
+        if (queues_[union_cur_]->Pop(out)) return true;
         ++union_cur_;
       }
       return false;
     }
     for (;;) {
-      if (serial_union_cur_ == nullptr) {
-        if (serial_union_next_ >= num_fragments_) return false;
-        serial_union_cur_ = TakeFragment(serial_union_next_++);
-        serial_union_cur_->StartConsume("exec::Exchange");
+      if (serial_cur_ == nullptr) {
+        if (union_cur_ >= num_fragments_) return false;
+        serial_cur_ = TakeFragment(union_cur_);
+        serial_cur_->StartConsume("exec::Exchange");
       }
-      if (serial_union_cur_->Next(out)) return true;
-      serial_union_cur_.reset();
+      if (serial_cur_->Next(out)) return true;
+      serial_cur_.reset();
+      ++union_cur_;
     }
-  }
-
-  bool NextMerge(Batch* out) {
-    // Ordered k-way merge over the fragment heads; ties break on fragment
-    // index, which for row-range morsels reproduces the serial plan's row
-    // order exactly.
-    while (out->num_rows() < batch_rows_ && !heap_.empty()) {
-      const int i = heap_.top();
-      heap_.pop();
-      Cursor& cur = cursors_[i];
-      for (int c = 0; c < out->num_columns(); ++c) {
-        out->col(c).AppendFrom(cur.batch.col(c), cur.pos);
-      }
-      out->FinishRow();
-      if (++cur.pos < cur.batch.num_rows()) {
-        heap_.push(i);
-      } else if (Refill(i)) {
-        heap_.push(i);
-      }
-    }
-    return out->num_rows() > 0;
   }
 
   void Finish() {
@@ -446,15 +451,7 @@ class ExchangeOp : public Operator {
   void MergeStats() {
     if (merged_ || stats_ == nullptr) return;
     merged_ = true;
-    stats_->fragments += num_fragments_;
-    for (const opt::ExecStats& fs : frag_stats_) {
-      opt::ExecStats partial = fs;
-      // A fragment's rows_output/batches describe the fragment's stream,
-      // not the pipeline root's; the root sink re-counts its own output.
-      partial.rows_output = 0;
-      partial.batches = 0;
-      stats_->Merge(partial);
-    }
+    MergeFragmentStats(frag_stats_, stats_);
     const int64_t peak = peak_rows_.load(std::memory_order_relaxed);
     if (peak > stats_->exchange_peak_rows) stats_->exchange_peak_rows = peak;
   }
@@ -471,7 +468,6 @@ class ExchangeOp : public Operator {
   std::string describe_child_;
 
   bool started_ = false;
-  bool parallel_ = false;
   bool finished_ = false;
   bool merged_ = false;
 
@@ -479,12 +475,9 @@ class ExchangeOp : public Operator {
   std::atomic<int64_t> peak_rows_{0};
   std::vector<std::unique_ptr<BatchQueue>> queues_;
   std::vector<Producer> producers_;  // pump state, parked fragments included
-  std::vector<OpPtr> serial_frags_;  // serial merge path
-  OpPtr serial_union_cur_;           // serial union path
-  int serial_union_next_ = 0;
-  int union_cur_ = 0;  // parallel union: queue being drained
-  std::vector<Cursor> cursors_;  // merge heads (queue or serial pulls)
-  std::priority_queue<int, std::vector<int>, HeapCmp> heap_{HeapCmp{this}};
+  OpPtr serial_cur_;                 // serial path: fragment being pulled
+  int union_cur_ = 0;                // fragment being emitted
+  Batch last_row_;  // ordered merge: the last row emitted, for the check
   // Declared last: producer tasks reference the members above, and the
   // destructor resets this (joining them) before anything else dies.
   std::unique_ptr<common::TaskGroup> group_;
@@ -607,11 +600,7 @@ class ParallelHashAggregateOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    PrepareBatch(out);
     if (!ready_) BuildAndMerge();
     if (pos_ >= result_.num_rows()) return false;
     const int64_t end = std::min(result_.num_rows(), pos_ + batch_rows_);
@@ -628,15 +617,7 @@ class ParallelHashAggregateOp : public Operator {
                       std::to_string(num_fragments_) + " groups=" +
                       SpecStr(group_cols_) +
                       " (thread-local build + merge)\n";
-    std::string child = describe_child_;
-    size_t start = 0;
-    while (start < child.size()) {
-      size_t nl = child.find('\n', start);
-      if (nl == std::string::npos) nl = child.size();
-      out += Pad(indent + 1) + child.substr(start, nl - start) + "\n";
-      start = nl + 1;
-    }
-    return out;
+    return out + IndentLines(describe_child_, indent + 1);
   }
 
  private:
@@ -722,15 +703,7 @@ class ParallelHashAggregateOp : public Operator {
       }
       result_.FinishRow();
     }
-    if (stats_ != nullptr) {
-      stats_->fragments += n;
-      for (const opt::ExecStats& fs : frag_stats_) {
-        opt::ExecStats partial = fs;
-        partial.rows_output = 0;
-        partial.batches = 0;
-        stats_->Merge(partial);
-      }
-    }
+    if (stats_ != nullptr) MergeFragmentStats(frag_stats_, stats_);
     ready_ = true;
   }
 
@@ -755,10 +728,16 @@ class ParallelHashAggregateOp : public Operator {
 class CombinePartialAggregatesOp : public Operator {
  public:
   CombinePartialAggregatesOp(OpPtr child, int num_group_cols,
-                             std::vector<AggSpec::Kind> kinds)
+                             std::vector<AggSpec::Kind> kinds,
+                             int64_t batch_rows)
       : child_(std::move(child)),
         num_groups_(num_group_cols),
-        kinds_(std::move(kinds)) {
+        kinds_(std::move(kinds)),
+        batch_rows_(batch_rows) {
+    if (batch_rows_ < 1) {
+      throw std::invalid_argument(
+          "exec::CombinePartialAggregates: batch_rows < 1");
+    }
     const Schema& in = child_->schema();
     if (num_groups_ < 0 ||
         in.num_columns() !=
@@ -799,32 +778,32 @@ class CombinePartialAggregatesOp : public Operator {
     ordering_ = child_->ordering();
   }
 
+  /// Coalesces like StreamAggregate: up to batch_rows combined groups per
+  /// output batch, resuming inside the child's batch on the next call.
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
-    while (out->empty()) {
-      if (!child_->Next(&scratch_)) {
-        if (have_pending_) {
-          EmitPending(out);
-          have_pending_ = false;
-          return true;
-        }
-        return false;
-      }
-      for (int64_t r = 0; r < scratch_.num_rows(); ++r) {
-        if (have_pending_ &&
-            Batch::CompareRows(pending_, 0, scratch_, r, group_ids_) == 0) {
-          Fold(scratch_, r);
-        } else {
+    PrepareBatch(out);
+    while (out->num_rows() < batch_rows_) {
+      if (pos_ >= scratch_.num_rows()) {
+        if (done_) break;
+        pos_ = 0;
+        if (!child_->Next(&scratch_)) {
+          scratch_.Clear();
+          done_ = true;
           if (have_pending_) EmitPending(out);
-          LoadPending(scratch_, r);
+          have_pending_ = false;
+          break;
         }
       }
+      const int64_t r = pos_++;
+      if (have_pending_ &&
+          Batch::CompareRows(pending_, 0, scratch_, r, group_ids_) == 0) {
+        Fold(scratch_, r);
+      } else {
+        if (have_pending_) EmitPending(out);
+        LoadPending(scratch_, r);
+      }
     }
-    return true;
+    return !out->empty();
   }
 
   std::string Describe(int indent) const override {
@@ -902,7 +881,10 @@ class CombinePartialAggregatesOp : public Operator {
   Batch scratch_;
   Batch pending_;  // one row: the group being accumulated
   std::vector<Acc> accs_;
+  int64_t batch_rows_;
+  int64_t pos_ = 0;  // next unread row of scratch_
   bool have_pending_ = false;
+  bool done_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -948,11 +930,7 @@ class HashProbeOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    PrepareBatch(out);
     while (out->empty()) {
       if (!probe_->Next(&scratch_)) return false;
       for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
@@ -1010,9 +988,10 @@ OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
 }
 
 OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
-                               std::vector<engine::AggSpec::Kind> kinds) {
+                               std::vector<engine::AggSpec::Kind> kinds,
+                               int64_t batch_rows) {
   return std::make_unique<CombinePartialAggregatesOp>(
-      std::move(child), num_group_cols, std::move(kinds));
+      std::move(child), num_group_cols, std::move(kinds), batch_rows);
 }
 
 std::shared_ptr<const SharedHashTable> BuildSharedHash(

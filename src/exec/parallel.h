@@ -32,11 +32,16 @@ namespace exec {
 using FragmentFactory =
     std::function<OpPtr(int fragment, opt::ExecStats* stats)>;
 
-/// Per-fragment capacity (in batches) of a streaming exchange's bounded
-/// queues — with per-batch rows capped at the plan's batch_rows, the
-/// exchange's resident footprint is O(fragments × kExchangeQueueBatches ×
-/// batch_rows) regardless of input size. Exposed so tests can assert the
-/// bound against ExecStats::exchange_peak_rows.
+/// Per-fragment capacity of a streaming exchange's bounded queues, in
+/// units of the exchange's batch_rows: each fragment queue holds at most
+/// kExchangeQueueBatches × batch_rows rows, however small the fragment's
+/// batches are (a queue bounded in batches would park a producer of
+/// 1-row batches after four rows). A producer holds at most one more
+/// batch while parked, so with fragment batches capped at batch_rows the
+/// exchange's resident footprint stays within fragments ×
+/// (kExchangeQueueBatches + 1) × batch_rows rows regardless of input
+/// size. Exposed so tests can assert the bound against
+/// ExecStats::exchange_peak_rows.
 inline constexpr int kExchangeQueueBatches = 4;
 
 /// How an exchange recombines its fragments' streams.
@@ -44,34 +49,40 @@ enum class MergeMode {
   /// Concatenates fragment outputs in fragment order. No ordering claim
   /// (except trivially at one fragment).
   kUnion,
-  /// OD-proven order-preserving k-way merge: every fragment must *claim*
+  /// OD-proven order-preserving recombination: every fragment must *claim*
   /// `merge_spec` (as a prefix of its ordering property) — the planner
   /// proves the claim via OrderReasoner before choosing this mode, and the
   /// exchange throws std::logic_error at build time if a fragment shows up
-  /// without the proof. Heap ties break on fragment index, so with
-  /// row-range morsels the merged stream is row-identical to the serial
-  /// plan, and the exchange claims `merge_spec` as its own ordering.
+  /// without the proof. The planner's morsels are contiguous slices of one
+  /// ordered stream, for which a k-way merge with fragment-index tiebreak
+  /// is exactly the fragments' concatenation — so the fragments are
+  /// emitted in fragment order, like kUnion, with one runtime check: a
+  /// batch whose first row sorts before the last emitted row on
+  /// `merge_spec` throws std::logic_error. The stream is row-identical to
+  /// the serial plan, and the exchange claims `merge_spec` as its own
+  /// ordering.
   kOrderedMerge,
 };
 
 /// The streaming exchange operator: on the first Next it spawns one
 /// producer task per fragment on `pool`; each task builds its fragment,
-/// checks the merge proof, and pushes batches through a bounded
-/// per-fragment queue — no fragment is ever materialized. Union mode
-/// emits queues in fragment order (production interleaves; emission is
+/// checks the merge proof, and pushes batches through a row-bounded
+/// per-fragment queue — no fragment is ever materialized. Both modes
+/// emit the queues in fragment order (production interleaves; emission is
 /// deterministic, so for row-range morsels the stream is row-identical
 /// to the serial plan even under a Sort or hash build); ordered-merge
-/// mode runs the OD-proven k-way merge over the per-fragment queue
-/// heads. An early-exiting consumer (Limit) or a
+/// mode additionally checks each fragment boundary against `merge_spec`.
+/// An early-exiting consumer (Limit) or a
 /// failing fragment cancels the queues, which unblocks and winds down
 /// every producer (temp spill files clean up via their destructors); the
 /// first producer exception is rethrown on the consumer.
 ///
 /// `pool` may be null (or single-threaded): fragments then stream
-/// serially — union pulls them one at a time, merge holds one batch per
-/// fragment — with identical results. Producers never block: a pump whose
-/// queue is full parks (returns its thread to the scheduler) and resumes
-/// when the consumer frees space, so any fragment/worker ratio is safe.
+/// serially, one at a time, with identical results. Producers never
+/// block: a pump whose next batch does not fit its queue parks (returns
+/// its thread to the scheduler, counted in ExecStats::exchange_parks) and
+/// resumes when the consumer frees room, so any fragment/worker ratio is
+/// safe.
 /// Fragments may themselves contain exchanges: producers are stealable
 /// tasks and the consumer helps run queued tasks while it waits, so
 /// nested parallel regions cannot deadlock.
@@ -103,8 +114,10 @@ OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
 /// through ParallelHashAggregate instead. Precondition (checked): the
 /// child's ordering covers all group columns in its first `num_group_cols`
 /// entries, so equal groups are contiguous. Preserves the child's ordering.
+/// Output is coalesced to up to `batch_rows` groups per batch.
 OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
-                               std::vector<engine::AggSpec::Kind> kinds);
+                               std::vector<engine::AggSpec::Kind> kinds,
+                               int64_t batch_rows = kDefaultBatchRows);
 
 /// The immutable build side of a partition-parallel hash join: built once,
 /// shared read-only by every probe fragment (no per-fragment rebuild).

@@ -20,6 +20,7 @@ void ExecStats::Merge(const ExecStats& other) {
   if (other.exchange_peak_rows > exchange_peak_rows) {
     exchange_peak_rows = other.exchange_peak_rows;
   }
+  exchange_parks += other.exchange_parks;
 }
 
 std::string ExecStats::ToString() const {
@@ -38,6 +39,7 @@ std::string ExecStats::ToString() const {
   out += " spilled_rows=" + std::to_string(spilled_rows);
   out += " spilled_bytes=" + std::to_string(spilled_bytes);
   out += " exchange_peak_rows=" + std::to_string(exchange_peak_rows);
+  out += " exchange_parks=" + std::to_string(exchange_parks);
   return out;
 }
 

@@ -41,6 +41,10 @@ struct ExecStats {
   /// (a materializing exchange would peak at the full input). Merged by
   /// max, not sum: it is a watermark, not a volume.
   int64_t exchange_peak_rows = 0;
+  /// Times a streaming exchange's producer pump parked because its
+  /// fragment's row-bounded queue had no room for the next batch. Zero
+  /// means no producer ever waited on the consumer.
+  int64_t exchange_parks = 0;
 
   /// Adds `other`'s counters into this one (watermarks merge by max). The
   /// exchange operators give each worker a private ExecStats and merge

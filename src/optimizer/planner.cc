@@ -1087,7 +1087,7 @@ exec::OpPtr CompileFragment(
       return exec::StreamAggregate(
           CompileFragment(*n.children[0], tables, stats, opts, morsel,
                           shared, shared_idx),
-          n.group_cols, n.aggs);
+          n.group_cols, n.aggs, opts.batch_rows);
     case Kind::kExchange: {
       // A nested exchange: subdivide this fragment's morsel again and
       // stream the inner chain behind its own exchange. Producers are
@@ -1189,7 +1189,7 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
     case Kind::kStreamAgg:
       op = exec::StreamAggregate(
           CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs);
+          n.aggs, opts.batch_rows);
       break;
     case Kind::kHashAgg:
       op = exec::HashAggregate(
@@ -1252,7 +1252,8 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
       for (const auto& a : n.aggs) kinds.push_back(a.kind);
       op = exec::CombinePartialAggregates(
           CompileNode(*n.children[0], tables, stats, opts),
-          static_cast<int>(n.group_cols.size()), std::move(kinds));
+          static_cast<int>(n.group_cols.size()), std::move(kinds),
+          opts.batch_rows);
       break;
     }
   }

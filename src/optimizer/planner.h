@@ -147,7 +147,8 @@ struct PhysicalNode {
     /// Morsel exchange: children[0] is the *fragment template* — the
     /// driving chain each of `dop` workers runs over its own row-range
     /// morsel. `spec` holds the merge order when `ordered_merge` (the
-    /// OD-proven order-preserving k-way merge); union otherwise.
+    /// OD-proven order-preserving recombination: contiguous morsels of an
+    /// ordered stream, emitted in fragment order); union otherwise.
     kExchange,
     /// Partition-parallel GROUP BY: children[0] is the pre-aggregation
     /// fragment template; thread-local accumulator build, merged exact.

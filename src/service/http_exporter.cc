@@ -5,6 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <sys/time.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,13 +45,25 @@ std::string Quantile(const common::HistogramSnapshot& snap, double q) {
   return buf;
 }
 
-/// Reads until the end of the request headers (or the cap); returns what
-/// was read.
+/// Bounds every blocking recv/send on `fd` by kHttpConnectionTimeoutMs.
+void SetConnectionTimeouts(int fd) {
+  timeval tv{};
+  tv.tv_sec = kHttpConnectionTimeoutMs / 1000;
+  tv.tv_usec = (kHttpConnectionTimeoutMs % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+/// Reads until the end of the request headers, the size cap, a timed-out
+/// recv, or the connection's time budget; returns what was read.
 std::string ReadRequest(int fd) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kHttpConnectionTimeoutMs);
   std::string request;
   char buf[1024];
   while (request.size() < 16384 &&
-         request.find("\r\n\r\n") == std::string::npos) {
+         request.find("\r\n\r\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
@@ -127,6 +142,7 @@ void HttpExporter::AcceptLoop() {
       if (!running()) return;  // Stop() shut the listener down
       continue;                // transient (EINTR etc.)
     }
+    SetConnectionTimeouts(fd);
     const std::string request = ReadRequest(fd);
     // "GET <path> HTTP/1.1..." — anything else is a 400.
     std::string response;

@@ -25,6 +25,12 @@ struct HttpExporterOptions {
   size_t flight_tail = 32;
 };
 
+/// Receive and send timeout, in milliseconds, on every accepted
+/// connection; reading one request also stops once this much time has
+/// passed. The accept loop is serial, so this is how long one client that
+/// connects and then stalls (or trickles) can hold it up.
+inline constexpr int kHttpConnectionTimeoutMs = 1000;
+
 /// A deliberately minimal blocking HTTP/1.1 listener on its own thread —
 /// no third-party dependencies, GET only, Connection: close — serving the
 /// engine's scrape surface:
@@ -39,6 +45,8 @@ struct HttpExporterOptions {
 ///
 /// One request per connection, handled serially on the accept thread: a
 /// scrape every few seconds from one or two collectors, not a web server.
+/// Per-connection timeouts (kHttpConnectionTimeoutMs) keep one silent
+/// client from blocking the others.
 /// `HandleRequest` is the socket-free dispatch core, unit-tested directly.
 class HttpExporter {
  public:

@@ -1,16 +1,19 @@
 // Streaming-operator contracts: batch boundaries, ordering-property
-// propagation, the StreamAggregate contiguity precondition, NaN-bearing
-// double keys (must agree with od::CompareDoubles), and early exit.
+// propagation, the StreamAggregate contiguity precondition, aggregate
+// output coalescing, NaN-bearing double keys (must agree with
+// od::CompareDoubles), and early exit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "engine/index.h"
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
 
 namespace od {
 namespace exec {
@@ -166,6 +169,72 @@ TEST(StreamAggregateTest, EmptyInput) {
                               {{AggSpec::Kind::kSum, 1, "s"}});
   Batch b;
   EXPECT_FALSE(agg->Next(&b));
+}
+
+// Drains `op` like exec::Drain, also recording each batch's row count.
+Table DrainBatchSizes(Operator* op, std::vector<int64_t>* sizes) {
+  Table out(op->schema());
+  Batch batch;
+  while (op->Next(&batch)) {
+    sizes->push_back(batch.num_rows());
+    for (int c = 0; c < out.num_columns(); ++c) {
+      out.col(c).AppendRange(batch.col(c), 0, batch.num_rows());
+    }
+    out.SetRowCount(out.num_rows() + batch.num_rows());
+  }
+  return out;
+}
+
+TEST(StreamAggregateTest, CoalescesGroupsUpToBatchRows) {
+  // 23 groups of ~43 rows; 100-row child batches hold two or three group
+  // boundaries each, so filling a 5-row output batch stops mid-way
+  // through a child batch and the next call must resume there.
+  Table t = engine::SortBy(MakeKv(1000, 23), {0});
+  const std::vector<AggSpec> aggs{{AggSpec::Kind::kSum, 1, "s"},
+                                  {AggSpec::Kind::kCount, 0, "c"}};
+  std::vector<int64_t> sizes, single_sizes;
+  OpPtr coalesced = StreamAggregate(Scan(&t, nullptr, 100), {0}, aggs,
+                                    /*batch_rows=*/5);
+  const Table got = DrainBatchSizes(coalesced.get(), &sizes);
+  OpPtr single = StreamAggregate(Scan(&t, nullptr, 100), {0}, aggs,
+                                 /*batch_rows=*/1);
+  const Table ref = DrainBatchSizes(single.get(), &single_sizes);
+  EXPECT_EQ(sizes, (std::vector<int64_t>{5, 5, 5, 5, 3}));
+  EXPECT_EQ(single_sizes, std::vector<int64_t>(23, 1));
+  EXPECT_TRUE(TablesEqualExactly(ref, got));
+  EXPECT_TRUE(engine::SameRowMultiset(engine::HashGroupBy(t, {0}, aggs), got));
+}
+
+TEST(CombinePartialAggregatesTest, CoalescesGroupsUpToBatchRows) {
+  // Two adjacent partial rows per group (as a morsel boundary leaves
+  // them), 23 groups, 9-row child batches that split some pairs.
+  Schema s;
+  s.Add("g", DataType::kInt64);
+  s.Add("c", DataType::kInt64);
+  s.Add("s", DataType::kDouble);
+  Table partials(s);
+  for (int64_t g = 0; g < 23; ++g) {
+    partials.AppendRow({Value(g), Value(int64_t{2}), Value(0.5 * g)});
+    partials.AppendRow({Value(g), Value(int64_t{3}), Value(1.0)});
+  }
+  partials = engine::SortBy(partials, {0});
+  const std::vector<AggSpec::Kind> kinds{AggSpec::Kind::kCount,
+                                         AggSpec::Kind::kSum};
+  std::vector<int64_t> sizes, single_sizes;
+  OpPtr coalesced = CombinePartialAggregates(Scan(&partials, nullptr, 9), 1,
+                                             kinds, /*batch_rows=*/5);
+  const Table got = DrainBatchSizes(coalesced.get(), &sizes);
+  OpPtr single = CombinePartialAggregates(Scan(&partials, nullptr, 9), 1,
+                                          kinds, /*batch_rows=*/1);
+  const Table ref = DrainBatchSizes(single.get(), &single_sizes);
+  EXPECT_EQ(sizes, (std::vector<int64_t>{5, 5, 5, 5, 3}));
+  EXPECT_EQ(single_sizes, std::vector<int64_t>(23, 1));
+  EXPECT_TRUE(TablesEqualExactly(ref, got));
+  for (int64_t g = 0; g < 23; ++g) {
+    EXPECT_EQ(got.col(0).Int(g), g);
+    EXPECT_EQ(got.col(1).Int(g), 5);
+    EXPECT_EQ(got.col(2).Double(g), 0.5 * g + 1.0);
+  }
 }
 
 TEST(StreamDistinctTest, MatchesHashDistinctOnSortedInput) {

@@ -1,11 +1,14 @@
-// Exec-level tests of the streaming exchange: bounded queue residency on
-// inputs far larger than the queues, deterministic fragment-ordered union,
-// the ordered merge's proof obligation, failure propagation out of producer
-// tasks (with spill temp-file cleanup), early-exit cancellation, and
-// exchanges nested inside exchange fragments on one shared pool.
+// Exec-level tests of the streaming exchange: row-bounded queue residency
+// on inputs far larger than the queues, producers of small batches that
+// never park, deterministic fragment-ordered union, the ordered merge's
+// build-time proof obligation and runtime boundary check, failure
+// propagation out of producer tasks (with spill temp-file cleanup),
+// early-exit cancellation, exchanges nested inside exchange fragments on
+// one shared pool, and the dop-4 daily-sales plan running park-free.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -20,6 +23,11 @@
 #include "exec/operator.h"
 #include "exec/parallel.h"
 #include "optimizer/exec_stats.h"
+#include "optimizer/planner.h"
+#include "theory/theory.h"
+#include "warehouse/date_dim.h"
+#include "warehouse/queries.h"
+#include "warehouse/star_schema.h"
 
 namespace od {
 namespace exec {
@@ -130,9 +138,11 @@ TEST_F(StreamingExchangeTest, UnionEmitsFragmentsInOrder) {
 }
 
 TEST_F(StreamingExchangeTest, PeakResidencyStaysBoundedOnLargeInput) {
-  // The point of streaming: 300k rows flow through, but at most
-  // fragments × kExchangeQueueBatches batches (+1 being pushed) are ever
-  // resident — the queues, not the input, bound the footprint.
+  // The point of streaming: 300k rows flow through, but each fragment
+  // queue holds at most kExchangeQueueBatches × batch_rows rows, and a
+  // parked producer one more batch of at most batch_rows — so at most
+  // fragments × (kExchangeQueueBatches + 1) × batch_rows rows are ever
+  // resident. The queues, not the input, bound the footprint.
   constexpr int64_t kRows = 300000;
   constexpr int kFrags = 4;
   constexpr int64_t kBatch = 1024;
@@ -172,6 +182,34 @@ TEST_F(StreamingExchangeTest, OrderedMergeBitIdenticalToSerialIndexScan) {
   EXPECT_TRUE(SameRows(expect, got));
 }
 
+TEST_F(StreamingExchangeTest, SmallBatchProducersNeverParkWithinTheRowBound) {
+  // Fragments emitting 1-row batches: a queue bounded in batches would
+  // park them after four rows. Bounded in rows (4 × 1024 here), a
+  // fragment whose whole output is 4096 rows fits its queue and never
+  // waits on the consumer, whatever order the consumer drains in.
+  constexpr int kFrags = 4;
+  constexpr int64_t kRows = kFrags * kExchangeQueueBatches * 1024;
+  const Table t = MakeScrambled(kRows);
+  OpPtr serial = Scan(&t);
+  const Table expect = Drain(serial.get());
+  const auto ranges = SplitRows(kRows, kFrags);
+  opt::ExecStats stats;
+  OpPtr op = Exchange(
+      kFrags,
+      [&](int f, opt::ExecStats* fs) {
+        return ScanRange(&t, ranges[f].first, ranges[f].second, fs,
+                         /*batch_rows=*/1);
+      },
+      MergeMode::kUnion, SortSpec{}, pool_.get(), &stats,
+      /*batch_rows=*/1024);
+  const Table got = Drain(op.get(), &stats);
+  op.reset();
+  EXPECT_TRUE(SameRows(expect, got));
+  EXPECT_EQ(stats.fragments, kFrags);
+  EXPECT_EQ(stats.exchange_parks, 0);
+  EXPECT_EQ(stats.batches, kRows);
+}
+
 TEST_F(StreamingExchangeTest, OrderedMergeWithoutProofThrows) {
   // The runtime proof obligation: a fragment that cannot claim the merge
   // order is rejected at build time, not silently mis-merged.
@@ -186,6 +224,29 @@ TEST_F(StreamingExchangeTest, OrderedMergeWithoutProofThrows) {
           },
           MergeMode::kOrderedMerge, SortSpec{0}, pool_.get()),
       std::logic_error);
+}
+
+TEST_F(StreamingExchangeTest, OrderedMergeRejectsSwappedMorsels) {
+  // Both fragments carry the build-time proof (an index scan claims [0]),
+  // but fragment 0 holds the high key range: the fragment-order
+  // concatenation is not ordered, and the boundary check must throw
+  // instead of returning rows out of order — parallel and serial alike.
+  const Table t = MakeScrambled(20000);
+  const engine::OrderedIndex index(&t, SortSpec{0});
+  const auto ranges = SplitRows(t.num_rows(), 2);
+  for (common::ThreadPool* pool : {pool_.get(), (common::ThreadPool*)nullptr}) {
+    OpPtr op = Exchange(
+        2,
+        [&](int f, opt::ExecStats* fs) {
+          const auto& r = ranges[1 - f];
+          return IndexPositionScan(&index, r.first, r.second, fs,
+                                   /*batch_rows=*/64);
+        },
+        MergeMode::kOrderedMerge, SortSpec{0}, pool, nullptr,
+        /*batch_rows=*/64);
+    EXPECT_EQ(op->ordering(), SortSpec{0});
+    EXPECT_THROW(Drain(op.get()), std::logic_error);
+  }
 }
 
 TEST_F(StreamingExchangeTest, ProducerFailureCancelsAndCleansSpills) {
@@ -273,6 +334,51 @@ TEST_F(StreamingExchangeTest, NestedExchangesMatchSerial) {
     op.reset();
     EXPECT_TRUE(SameRows(expect, got));
     EXPECT_EQ(stats.rows_scanned, t.num_rows());
+  }
+}
+
+TEST_F(StreamingExchangeTest, DailySalesAtDopFourNeverParks) {
+  // The OD-aware daily-sales plan at dop 4: per-fragment StreamAggregate
+  // partials behind the ordered exchange, combined above it. Coalesced
+  // partials and row-bounded queues let every fragment run to completion
+  // without waiting on the consumer, which drains fragment 0 first.
+  const Table dim = warehouse::GenerateDateDim(1998, 4);
+  const Table fact = warehouse::GenerateStoreSales(
+      /*num_rows=*/40000, dim.col(0).Int(0), dim.num_rows(),
+      /*num_items=*/50, /*num_stores=*/10, /*seed=*/42);
+  const engine::OrderedIndex index(&fact, SortSpec{0});
+  auto ods = std::make_shared<theory::Theory>(warehouse::DateDimOds());
+  const opt::LogicalQuery q = warehouse::DailySalesQuery(
+      &fact, &dim, &index, /*fact_parts=*/nullptr, ods, 1999);
+  opt::CostModel cm;
+  cm.fragment_startup = 0.0;
+  opt::PlanOptions opts;
+  opts.dop = 4;
+  opts.pool = pool_.get();
+  const opt::PhysicalPlan plan = opt::PlanQuery(q, cm, opts);
+  ASSERT_NE(plan.Explain().find("merge="), std::string::npos)
+      << plan.Explain();
+  opt::ExecStats stats;
+  const Table got = plan.Execute(&stats);
+  EXPECT_EQ(stats.fragments, 4);
+  EXPECT_EQ(stats.exchange_parks, 0);
+  EXPECT_EQ(stats.sorts, 0);
+
+  opt::ExecStats ref_stats;
+  const Table ref = opt::PlanQuery(q).Execute(&ref_stats);
+  ASSERT_EQ(ref_stats.fragments, 0);
+  ASSERT_EQ(got.num_rows(), ref.num_rows());
+  ASSERT_EQ(got.num_columns(), ref.num_columns());
+  for (int64_t r = 0; r < ref.num_rows(); ++r) {
+    for (int c = 0; c < ref.num_columns(); ++c) {
+      if (ref.col(c).type() == DataType::kDouble) {
+        // Partial sums of a group split across morsels reassociate.
+        EXPECT_NEAR(got.col(c).Double(r), ref.col(c).Double(r),
+                    1e-9 * std::max(1.0, std::fabs(ref.col(c).Double(r))));
+      } else {
+        EXPECT_EQ(got.col(c).Get(r), ref.col(c).Get(r)) << r << "," << c;
+      }
+    }
   }
 }
 

@@ -26,6 +26,7 @@ ExecStats MakeStats(int64_t base) {
   s.spilled_rows = base + 12;
   s.spilled_bytes = base + 13;
   s.exchange_peak_rows = base + 14;
+  s.exchange_parks = base + 15;
   return s;
 }
 
@@ -48,6 +49,7 @@ TEST(ExecStatsTest, MergeAddsEveryField) {
   EXPECT_EQ(a.spilled_bytes, 113 + 1013);
   // Watermark semantics: the larger side wins, sums would double-count.
   EXPECT_EQ(a.exchange_peak_rows, 1014);
+  EXPECT_EQ(a.exchange_parks, 115 + 1015);
 }
 
 TEST(ExecStatsTest, PeakRowsMergesByMaxEitherDirection) {
@@ -82,6 +84,7 @@ TEST(ExecStatsTest, ToStringNamesEveryField) {
   EXPECT_NE(s.find("spilled_rows=212"), std::string::npos) << s;
   EXPECT_NE(s.find("spilled_bytes=213"), std::string::npos) << s;
   EXPECT_NE(s.find("exchange_peak_rows=214"), std::string::npos) << s;
+  EXPECT_NE(s.find("exchange_parks=215"), std::string::npos) << s;
 }
 
 }  // namespace

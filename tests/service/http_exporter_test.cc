@@ -1,11 +1,19 @@
 // The HTTP scrape endpoint end-to-end: a real listener on a loopback
 // ephemeral port, fetched with the in-repo HttpGet helper. /metrics must
-// round-trip through MetricRegistry::FromPrometheusText, and /statusz
-// must reflect a request the server just classified as slow.
+// round-trip through MetricRegistry::FromPrometheusText, /statusz must
+// reflect a request the server just classified as slow, and a client that
+// connects and sends nothing must not wedge the serial accept loop.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 
 #include "common/metrics.h"
 #include "service/http_exporter.h"
@@ -116,6 +124,40 @@ TEST_F(HttpExporterTest, UnknownPathIs404AndNonGetIs400) {
   int status = 0;
   (void)Get("/nope", &status);
   EXPECT_EQ(status, 404);
+}
+
+TEST_F(HttpExporterTest, SilentClientDoesNotBlockHealthz) {
+  // The first client connects and sends nothing. The accept loop serves
+  // connections one at a time, so only the per-connection timeout lets the
+  // second client's /healthz through — within 2x that timeout.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(exporter_->port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // Without the timeout the fetch below would wait for the idle client
+  // forever; hang it up after 3x the timeout so a regression fails the
+  // elapsed-time check instead of hanging the suite.
+  const std::chrono::milliseconds timeout(kHttpConnectionTimeoutMs);
+  std::promise<void> fetched;
+  std::thread hang_up([idle, timeout, done = fetched.get_future()] {
+    if (done.wait_for(3 * timeout) != std::future_status::ready) {
+      ::shutdown(idle, SHUT_RDWR);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  int status = 0;
+  const std::string body = Get("/healthz", &status);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  fetched.set_value();
+  hang_up.join();
+  ::close(idle);
+  EXPECT_EQ(body, "ok\n");
+  EXPECT_EQ(status, 200);
+  EXPECT_LT(elapsed, 2 * timeout);
 }
 
 TEST_F(HttpExporterTest, StopIsIdempotentAndRestartable) {
