@@ -1,16 +1,19 @@
 // Experiment EXEC: the streaming executor + cost-based planner turn OD
 // reasoning into wall-clock wins. Two ≥1M-row workloads, each measured as
-// the materializing sort plan (what a reasoner-less optimizer would run)
-// against the streaming OD-aware plan PlanQuery chooses:
+// "OD theory off vs on" on the same planner and executor — PlanQuery
+// plans the same logical query with no ODs declared (OD-blind) and with
+// the workload's ODs (OD-aware), so the difference is the reasoning alone:
 //   * TAX (Example 5): SELECT * FROM taxes ORDER BY bracket, tax.
-//     Materializing: scan + full sort of 1.2M rows. OD-aware: the
+//     OD-blind: scan + full sort of 1.2M rows. OD-aware: the
 //     income-ordered index stream provably satisfies the ORDER BY
 //     ([income] ↦ [bracket, tax]) — zero sorts.
 //   * DAILY (Section 2.3 shape): per-day totals for one year from a 1M-row
-//     fact ⋈ date_dim. Materializing: hash join + hash aggregate + sort.
-//     OD-aware: the surrogate-key OD elides the join (index range scan),
-//     the index order makes groups contiguous (stream aggregate), and the
-//     ORDER BY is provably satisfied — zero sorts, zero joins.
+//     fact ⋈ date_dim. OD-blind: the join stays. OD-aware: the
+//     surrogate-key OD elides the join (index range scan), the index order
+//     makes groups contiguous (stream aggregate), and the ORDER BY is
+//     provably satisfied — zero sorts, zero joins.
+// Before timing, each arm checks its plan shape (SkipWithError otherwise)
+// and that both arms return the same row multiset.
 
 #include <benchmark/benchmark.h>
 
@@ -31,16 +34,40 @@
 namespace od {
 namespace {
 
+/// Whether the OD-blind and OD-aware plans of one query return the same
+/// row multiset; computed once per workload, on the first arm that asks.
+class AnswerCheck {
+ public:
+  bool Agree(const opt::LogicalQuery& blind, const opt::LogicalQuery& od) {
+    if (state_ == 0) {
+      const engine::Table a = opt::PlanQuery(blind).Execute(nullptr);
+      const engine::Table b = opt::PlanQuery(od).Execute(nullptr);
+      state_ = engine::SameRowMultiset(a, b) ? 1 : -1;
+    }
+    return state_ > 0;
+  }
+
+ private:
+  int state_ = 0;  // 0 unchecked, 1 agree, -1 differ
+};
+
 struct TaxWorkload {
   engine::Table taxes;
   engine::OrderedIndex income_index;
   std::shared_ptr<theory::Theory> ods;
+  AnswerCheck check;
 
   explicit TaxWorkload(int64_t rows)
       : taxes(warehouse::GenerateTaxTable(rows, /*max_income=*/250000,
                                           /*seed=*/29)),
         income_index(&taxes, {warehouse::TaxColumns().income}),
         ods(std::make_shared<theory::Theory>(warehouse::TaxOds())) {}
+
+  opt::LogicalQuery Query(bool with_ods) const {
+    return warehouse::TaxOrderByQuery(&taxes, &income_index,
+                                      with_ods ? ods : nullptr);
+  }
+  bool AnswersAgree() { return check.Agree(Query(false), Query(true)); }
 };
 
 TaxWorkload& GetTax(int64_t rows) {
@@ -52,35 +79,55 @@ TaxWorkload& GetTax(int64_t rows) {
   return *it->second;
 }
 
-void BM_TaxOrderByMaterializing(benchmark::State& state) {
-  TaxWorkload& w = GetTax(state.range(0));
-  const warehouse::TaxColumns t;
+/// Runs `plan` once before timing; `shape_ok` judges its stats.
+template <typename ShapeOk>
+bool CheckArm(benchmark::State& state, const opt::PhysicalPlan& plan,
+              bool answers_agree, ShapeOk shape_ok, const char* shape_error) {
+  opt::ExecStats stats;
+  engine::Table out = plan.Execute(&stats);
+  if (!shape_ok(stats)) {
+    state.SkipWithError(shape_error);
+    return false;
+  }
+  if (!answers_agree) {
+    state.SkipWithError("OD-blind and OD-aware plans disagree");
+    return false;
+  }
+  return true;
+}
+
+void TimeExecute(benchmark::State& state, const opt::PhysicalPlan& plan) {
   for (auto _ : state) {
     opt::ExecStats stats;
-    engine::Table out =
-        opt::SortNode(opt::TableScan(&w.taxes), {t.bracket, t.tax})
-            ->Execute(&stats);
+    engine::Table out = plan.Execute(&stats);
     benchmark::DoNotOptimize(out);
   }
 }
 
+void BM_TaxOrderByOdBlind(benchmark::State& state) {
+  TaxWorkload& w = GetTax(state.range(0));
+  const opt::PhysicalPlan plan = opt::PlanQuery(w.Query(/*with_ods=*/false));
+  if (!CheckArm(
+          state, plan, w.AnswersAgree(),
+          [](const opt::ExecStats& s) { return s.sorts == 1; },
+          "OD-blind plan did not pay the ORDER BY sort")) {
+    return;
+  }
+  TimeExecute(state, plan);
+}
+
 void BM_TaxOrderByStreamingOdAware(benchmark::State& state) {
   TaxWorkload& w = GetTax(state.range(0));
-  opt::PhysicalPlan plan = opt::PlanQuery(
-      warehouse::TaxOrderByQuery(&w.taxes, &w.income_index, w.ods));
-  {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    if (stats.sorts != 0 || stats.sorts_elided < 1) {
-      state.SkipWithError("planner failed to elide the ORDER BY sort");
-      return;
-    }
+  const opt::PhysicalPlan plan = opt::PlanQuery(w.Query(/*with_ods=*/true));
+  if (!CheckArm(
+          state, plan, w.AnswersAgree(),
+          [](const opt::ExecStats& s) {
+            return s.sorts == 0 && s.sorts_elided >= 1;
+          },
+          "planner failed to elide the ORDER BY sort")) {
+    return;
   }
-  for (auto _ : state) {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    benchmark::DoNotOptimize(out);
-  }
+  TimeExecute(state, plan);
 }
 
 struct StarWorkload {
@@ -88,6 +135,7 @@ struct StarWorkload {
   engine::Table fact;
   engine::OrderedIndex fact_index;
   std::shared_ptr<theory::Theory> dim_ods;
+  AnswerCheck check;
 
   explicit StarWorkload(int64_t rows)
       : dim(warehouse::GenerateDateDim(1998, 5)),
@@ -96,6 +144,16 @@ struct StarWorkload {
                                            /*num_stores=*/10, /*seed=*/29)),
         fact_index(&fact, {0}),
         dim_ods(std::make_shared<theory::Theory>(warehouse::DateDimOds())) {}
+
+  opt::LogicalQuery DailySales(bool with_ods) const {
+    return warehouse::DailySalesQuery(&fact, &dim, &fact_index,
+                                      /*fact_parts=*/nullptr,
+                                      with_ods ? dim_ods : nullptr,
+                                      /*year=*/1999);
+  }
+  bool AnswersAgree() {
+    return check.Agree(DailySales(false), DailySales(true));
+  }
 };
 
 StarWorkload& GetStar(int64_t rows) {
@@ -107,54 +165,34 @@ StarWorkload& GetStar(int64_t rows) {
   return *it->second;
 }
 
-opt::DateRangeQuery DailyQuery() {
-  const warehouse::DateDimColumns d;
-  const warehouse::StoreSalesColumns f;
-  opt::DateRangeQuery q;
-  q.name = "daily_sales";
-  q.dim_predicates = {engine::Predicate{d.d_year, engine::Predicate::Op::kEq,
-                                        Value(int64_t{1999})}};
-  q.fact_date_sk = f.ss_sold_date_sk;
-  q.dim_date_sk = d.d_date_sk;
-  q.fact_group_cols = {f.ss_sold_date_sk};
-  q.fact_aggs = {
-      {engine::AggSpec::Kind::kSum, f.ss_net_paid, "sum_net_paid"},
-      {engine::AggSpec::Kind::kCount, 0, "cnt"}};
-  return q;
-}
-
-void BM_DailySalesMaterializing(benchmark::State& state) {
+void BM_DailySalesOdBlind(benchmark::State& state) {
   StarWorkload& w = GetStar(state.range(0));
-  const opt::DateRangeQuery q = DailyQuery();
-  for (auto _ : state) {
-    opt::ExecStats stats;
-    // Join + hash aggregate + sort: the plan an order-unaware optimizer
-    // runs, every operator materializing its full result.
-    engine::Table out =
-        opt::SortNode(opt::BuildBaselinePlan(&w.fact, &w.dim, q), {0})
-            ->Execute(&stats);
-    benchmark::DoNotOptimize(out);
+  const opt::PhysicalPlan plan =
+      opt::PlanQuery(w.DailySales(/*with_ods=*/false));
+  if (!CheckArm(
+          state, plan, w.AnswersAgree(),
+          [](const opt::ExecStats& s) {
+            return s.joins == 1 && s.joins_elided == 0;
+          },
+          "OD-blind plan did not pay the date_dim join")) {
+    return;
   }
+  TimeExecute(state, plan);
 }
 
 void BM_DailySalesStreamingOdAware(benchmark::State& state) {
   StarWorkload& w = GetStar(state.range(0));
-  opt::PhysicalPlan plan = opt::PlanQuery(warehouse::DailySalesQuery(
-      &w.fact, &w.dim, &w.fact_index, /*fact_parts=*/nullptr, w.dim_ods,
-      /*year=*/1999));
-  {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    if (stats.sorts != 0 || stats.joins != 0 || stats.joins_elided != 1) {
-      state.SkipWithError("planner failed to elide the join and sorts");
-      return;
-    }
+  const opt::PhysicalPlan plan =
+      opt::PlanQuery(w.DailySales(/*with_ods=*/true));
+  if (!CheckArm(
+          state, plan, w.AnswersAgree(),
+          [](const opt::ExecStats& s) {
+            return s.sorts == 0 && s.joins == 0 && s.joins_elided == 1;
+          },
+          "planner failed to elide the join and sorts")) {
+    return;
   }
-  for (auto _ : state) {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    benchmark::DoNotOptimize(out);
-  }
+  TimeExecute(state, plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,8 +206,11 @@ common::ThreadPool& BenchPool() {
   return *pool;
 }
 
-// Partition-parallel GROUP BY over 10M rows: thread-local accumulator
+// Partition-parallel GROUP BY over 10M rows: the thread-local accumulator
 // build dominates, so this is the family the ≥3×-at-≥4-cores gate holds.
+// Every arm runs the one hash-aggregation kernel: dop 1 plans a serial
+// HashAggregate, which is that kernel over a single stream, so the sweep
+// measures parallel scaling of one kernel, not a faster operator at dop > 1.
 void BM_ExecParallelGroupBy10M(benchmark::State& state) {
   StarWorkload& w = GetStar(10000000);
   const warehouse::StoreSalesColumns f;
@@ -290,13 +331,13 @@ void BM_ExecParallelNestedExchange10M(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000000);
 }
 
-BENCHMARK(BM_TaxOrderByMaterializing)
+BENCHMARK(BM_TaxOrderByOdBlind)
     ->Arg(1200000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TaxOrderByStreamingOdAware)
     ->Arg(1200000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DailySalesMaterializing)
+BENCHMARK(BM_DailySalesOdBlind)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DailySalesStreamingOdAware)
@@ -337,15 +378,11 @@ int main(int argc, char** argv) {
   od::bench::CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   od::bench::PrintPairedSummary(
-      reporter, "ORDER BY bracket, tax (1.2M rows): materializing sort vs "
-                "streaming OD plan",
-      {"/1200000"}, "BM_TaxOrderByMaterializing",
-      "BM_TaxOrderByStreamingOdAware");
+      reporter, "ORDER BY bracket, tax (1.2M rows): OD theory off vs on",
+      {"/1200000"}, "BM_TaxOrderByOdBlind", "BM_TaxOrderByStreamingOdAware");
   od::bench::PrintPairedSummary(
-      reporter, "Daily sales (1M-row fact): join+hash+sort vs streaming OD "
-                "plan",
-      {"/1000000"}, "BM_DailySalesMaterializing",
-      "BM_DailySalesStreamingOdAware");
+      reporter, "Daily sales (1M-row fact): OD theory off vs on",
+      {"/1000000"}, "BM_DailySalesOdBlind", "BM_DailySalesStreamingOdAware");
   benchmark::Shutdown();
   return 0;
 }

@@ -49,6 +49,15 @@ Table SortedGather(const Table& t, const SortSpec& spec) {
 
 }  // namespace
 
+std::string SpecString(const std::vector<ColumnId>& cols) {
+  std::string out = "[";
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(cols[i]);
+  }
+  return out + "]";
+}
+
 Table SortBy(const Table& t, const SortSpec& spec, bool* was_sorted) {
   CheckColumns(t, spec, "SortBy");
   // Already physically sorted: skip the O(n log n) permutation sort and the
@@ -121,8 +130,9 @@ struct Acc {
     ++count;
     sum += v;
     // CompareDoubles, not raw `<`: NaN must order totally (ties with NaN,
-    // after every value) or min/max stop being associative — the streaming
-    // executor and the parallel accumulator merge restate this rule.
+    // after every value) or min/max stop being associative. The exec
+    // kernels' accumulator (exec/internal.h) restates this rule; this copy
+    // stays separate as the oracle those kernels are tested against.
     if (!has || CompareDoubles(v, min) < 0) min = v;
     if (!has || CompareDoubles(v, max) > 0) max = v;
     has = true;

@@ -11,9 +11,10 @@
 namespace od {
 namespace engine {
 
-/// Relational operators over `Table`. Each materializes its result — the
-/// engine exists to compare *plan shapes* (with/without sorts, joins,
-/// partition scans), not to compete on raw execution speed.
+/// Relational operators over `Table`. Each materializes its result: they
+/// are the plain reference oracle that tests and perfbench check the
+/// streaming executor (src/exec) against, not a second executor. SortBy is
+/// also the sort kernel of each exec::ExternalSort run.
 ///
 /// Every operator validates its ColumnId arguments once at entry and throws
 /// std::out_of_range for an invalid id — in particular the -1 that
@@ -26,6 +27,10 @@ namespace engine {
 /// A sort specification: the column list of an ORDER BY, all ascending
 /// (the paper's setting).
 using SortSpec = std::vector<ColumnId>;
+
+/// "[c0, c1, ...]": a column-id list (sort spec, group or projection
+/// columns) as EXPLAIN output and error messages print it.
+std::string SpecString(const std::vector<ColumnId>& cols);
 
 /// Stable-sorts `t` by `spec`; the result's ordering property is `spec`.
 /// Short-circuits via IsSortedBy: an already-sorted input is returned as a

@@ -15,9 +15,9 @@ namespace exec {
 inline constexpr int64_t kDefaultBatchRows = 4096;
 
 /// A column-chunk batch: the unit of data flow between streaming operators.
-/// Storage reuses `engine::Column`, so batches interoperate with the
-/// materializing engine (a batch is a short typed table without a schema of
-/// its own — operators carry the schema, every batch they emit matches it).
+/// Storage reuses `engine::Column`, so batches interoperate with engine
+/// tables (a batch is a short typed table without a schema of its own —
+/// operators carry the schema, every batch they emit matches it).
 class Batch {
  public:
   Batch() = default;

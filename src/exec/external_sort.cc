@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/ops.h"
+#include "exec/internal.h"
 #include "exec/operator.h"
 #include "exec/spill.h"
 
@@ -21,29 +22,15 @@ namespace {
 
 using engine::Schema;
 using engine::SortSpec;
+using engine::SpecString;
 using engine::Table;
+using internal::IsPrefixOf;
 
 common::Counter& SpilledBytesCounter() {
   static common::Counter* c = &common::MetricRegistry::Global().GetCounter(
       "od_exec_spilled_bytes_total",
       "Bytes of sorted runs written to disk by the external sort");
   return *c;
-}
-
-std::string SpecStr(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-/// Whether `spec` is a literal prefix of `ordering` — rows sorted by
-/// `ordering` are then sorted by `spec` too (full sort elision).
-bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
-  if (spec.size() > ordering.size()) return false;
-  return std::equal(spec.begin(), spec.end(), ordering.begin());
 }
 
 /// One participant of the k-way merge: either a spilled run streamed back
@@ -60,20 +47,13 @@ struct RunCursor {
   bool Refill() {
     row = 0;
     if (reader != nullptr) return reader->NextChunk(&cur);
-    if (mem == nullptr || mem_pos >= mem->num_rows()) return false;
-    const int64_t end =
-        std::min(mem->num_rows(), mem_pos + chunk_rows);
+    if (mem == nullptr) return false;
     if (cur.num_columns() == mem->num_columns()) {
       cur.Clear();
     } else {
       cur.Reset(mem->schema());
     }
-    for (int c = 0; c < mem->num_columns(); ++c) {
-      cur.col(c).AppendRange(mem->col(c), mem_pos, end);
-    }
-    cur.SetRowCount(end - mem_pos);
-    mem_pos = end;
-    return true;
+    return internal::EmitTableSlice(*mem, &mem_pos, chunk_rows, &cur);
   }
 
   /// Moves to the next row; false when the run is exhausted.
@@ -92,12 +72,7 @@ class ExternalSortOp : public Operator {
         options_(options),
         stats_(stats),
         batch_rows_(batch_rows) {
-    for (engine::ColumnId c : spec_) {
-      if (c < 0 || c >= child_->schema().num_columns()) {
-        throw std::out_of_range("exec::ExternalSort: column id " +
-                                std::to_string(c) + " out of range");
-      }
-    }
+    internal::CheckColumns(child_->schema(), spec_, "exec::ExternalSort");
     schema_ = child_->schema();
     ordering_ = spec_;
     // Full elision: the child's proven ordering property already covers
@@ -106,11 +81,7 @@ class ExternalSortOp : public Operator {
   }
 
   bool Next(Batch* out) override {
-    if (out->num_columns() == schema_.num_columns()) {
-      out->Clear();
-    } else {
-      out->Reset(schema_);
-    }
+    PrepareBatch(out);
     if (passthrough_) {
       if (!claimed_) {
         child_->StartConsume("exec::ExternalSort");
@@ -122,21 +93,13 @@ class ExternalSortOp : public Operator {
     if (!ready_) BuildRuns();
     if (cursors_.empty()) {
       // Single in-memory run: emit it directly, no merge machinery.
-      if (pos_ >= final_run_.num_rows()) return false;
-      const int64_t end =
-          std::min(final_run_.num_rows(), pos_ + batch_rows_);
-      for (int c = 0; c < final_run_.num_columns(); ++c) {
-        out->col(c).AppendRange(final_run_.col(c), pos_, end);
-      }
-      out->SetRowCount(end - pos_);
-      pos_ = end;
-      return true;
+      return internal::EmitTableSlice(final_run_, &pos_, batch_rows_, out);
     }
     return NextMerged(out);
   }
 
   std::string Describe(int indent) const override {
-    return Pad(indent) + "ExternalSort by " + SpecStr(spec_) + " budget=" +
+    return Pad(indent) + "ExternalSort by " + SpecString(spec_) + " budget=" +
            std::to_string(options_.memory_budget_rows) +
            " (pipeline breaker)\n" + child_->Describe(indent + 1);
   }

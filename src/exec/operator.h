@@ -167,9 +167,11 @@ OpPtr StreamDistinct(OpPtr child, std::vector<engine::ColumnId> cols);
 /// Precondition: both children's streams are sorted by their key; the
 /// planner either proves this from ordering properties or places Sort
 /// enforcers. Output: left columns then right columns (colliding right
-/// names prefixed by `right_prefix`); preserves the left child's ordering.
+/// names prefixed by `right_prefix`), up to `batch_rows` rows per batch;
+/// preserves the left child's ordering.
 OpPtr MergeJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                 engine::ColumnId right_key, opt::ExecStats* stats = nullptr,
+                int64_t batch_rows = kDefaultBatchRows,
                 const std::string& right_prefix = "r_");
 
 /// Emits the first `n` rows, then stops pulling from the child (early
@@ -177,25 +179,20 @@ OpPtr MergeJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
 OpPtr Limit(OpPtr child, int64_t n);
 
 // ---------------------------------------------------------------------------
-// Pipeline breakers (consume the whole child before emitting).
-
-/// ORDER BY enforcer. Consumes the child, sorts, streams the result out;
-/// counts stats->sorts — or stats->sorts_elided when the input turned out
-/// to be physically sorted already (engine::SortBy's short-circuit).
-OpPtr Sort(OpPtr child, engine::SortSpec spec,
-           opt::ExecStats* stats = nullptr,
-           int64_t batch_rows = kDefaultBatchRows);
+// Pipeline breakers (consume the whole child, or the build side, before
+// emitting).
 
 /// ORDER BY + LIMIT k enforcer: keeps only the k smallest rows under
-/// `spec` (O(n log k) selection instead of a full sort), emits them sorted.
+/// `spec` (O(n log k) selection instead of a full sort), emits them sorted,
+/// up to `batch_rows` rows per batch.
 OpPtr TopK(OpPtr child, engine::SortSpec spec, int64_t k,
-           opt::ExecStats* stats = nullptr);
+           opt::ExecStats* stats = nullptr,
+           int64_t batch_rows = kDefaultBatchRows);
 
 /// Knobs of the out-of-core sort enforcer.
 struct SortOptions {
   /// Rows the sort may hold in memory before a run is cut and spilled to
-  /// disk; < 0 never spills (behaves like the in-memory Sort, still with
-  /// run elision).
+  /// disk; < 0 never spills (one in-memory run, still with run elision).
   int64_t memory_budget_rows = -1;
   /// Directory for spilled runs; empty = the system temp directory. Runs
   /// are removed when the operator is destroyed — on success, on a
@@ -212,30 +209,42 @@ struct SortOptions {
   common::ThreadPool* pool = nullptr;
 };
 
-/// External ORDER BY enforcer: accumulates input into memory-bounded runs,
-/// spills sorted runs to disk past the budget, and streams a k-way merge of
-/// the runs. Order reasoning shows up twice:
+/// The ORDER BY enforcer (the one sort path: the planner compiles every
+/// Sort node to it, with a budget < 0 when spilling is off): accumulates
+/// input into memory-bounded runs, spills sorted runs to disk past the
+/// budget, and streams a k-way merge of the runs. Order reasoning shows up
+/// twice:
 ///  * full elision — if the child's declared ordering property literally
 ///    covers `spec` (spec is a prefix of it), the input is streamed through
 ///    untouched: no buffering, no runs, no spill (stats->sorts_elided);
 ///  * run elision — a run that arrives physically sorted (IsSortedBy —
 ///    e.g. morsels of an OD-proven ordered scan) skips its sort; the merge
-///    still runs. stats->sorts counts 1 iff any run was actually sorted.
+///    still runs. stats->sorts counts 1 iff any run was actually sorted,
+///    stats->sorts_elided 1 otherwise.
 /// stats->spills / spilled_rows count runs written to disk.
 OpPtr ExternalSort(OpPtr child, engine::SortSpec spec, SortOptions options,
                    opt::ExecStats* stats = nullptr,
                    int64_t batch_rows = kDefaultBatchRows);
 
-/// Hash GROUP BY: no ordering requirement, no output ordering.
+/// Hash GROUP BY over one input stream: the thread-local-build kernel of
+/// ParallelHashAggregate (exec/parallel.h) run on a single fragment — one
+/// aggregation kernel whatever the dop. No ordering requirement, no output
+/// ordering; up to `batch_rows` groups per output batch.
 OpPtr HashAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
-                    std::vector<engine::AggSpec> aggs);
+                    std::vector<engine::AggSpec> aggs,
+                    int64_t batch_rows = kDefaultBatchRows);
 
-/// Hash join: materializes and hashes the right (build) child, then
-/// streams the left (probe) child batch-at-a-time — only the build side
-/// breaks the pipeline. Int64 keys (the star-schema surrogate keys).
-/// Preserves the left child's ordering.
+/// Hash join: the partition-parallel join's kernel on one probe stream.
+/// On the first Next it drains the right (build) child into a
+/// BuildSharedHash table — so the build is charged to this operator — then
+/// probes it with the left child exactly like HashProbe: up to
+/// `batch_rows` rows per batch, resuming mid probe row when a key's
+/// matches overflow a batch. Only the build side breaks the pipeline.
+/// Int64 keys (the star-schema surrogate keys). Preserves the left child's
+/// ordering.
 OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
                engine::ColumnId right_key, opt::ExecStats* stats = nullptr,
+               int64_t batch_rows = kDefaultBatchRows,
                const std::string& right_prefix = "r_");
 
 // ---------------------------------------------------------------------------

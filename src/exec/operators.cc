@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "exec/internal.h"
 
 namespace od {
 namespace exec {
-
-namespace {
 
 using engine::AggSpec;
 using engine::ColumnId;
@@ -16,35 +15,47 @@ using engine::DataType;
 using engine::Predicate;
 using engine::Schema;
 using engine::SortSpec;
+using engine::SpecString;
 using engine::Table;
 
-/// Same contract as the engine operators: ColumnId arguments are validated
-/// once at operator construction (catching Schema::Find's -1), per-row
-/// accessors stay unchecked.
-void CheckColumn(const Schema& s, ColumnId c, const char* op) {
-  if (c < 0 || c >= s.num_columns()) {
-    throw std::out_of_range(std::string(op) + ": column id " +
-                            std::to_string(c) + " out of range [0, " +
-                            std::to_string(s.num_columns()) + ")");
-  }
-}
+namespace internal {
 
 void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
                   const char* op) {
-  for (ColumnId c : cols) CheckColumn(s, c, op);
-}
-
-std::string SpecString(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
+  for (ColumnId c : cols) {
+    if (c < 0 || c >= s.num_columns()) {
+      throw std::out_of_range(std::string(op) + ": column id " +
+                              std::to_string(c) + " out of range [0, " +
+                              std::to_string(s.num_columns()) + ")");
+    }
   }
-  return out + "]";
 }
 
-/// Output schema of a join: left columns, then right columns with
-/// colliding names prefixed (mirrors engine::HashJoin/SortMergeJoin).
+void CheckAggColumns(const Schema& s, const std::vector<ColumnId>& groups,
+                     const std::vector<AggSpec>& aggs, const char* op) {
+  CheckColumns(s, groups, op);
+  for (const auto& a : aggs) {
+    if (a.kind != AggSpec::Kind::kCount) CheckColumns(s, {a.col}, op);
+  }
+}
+
+bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
+                    Batch* out) {
+  if (*pos >= t.num_rows()) return false;
+  const int64_t end = std::min(t.num_rows(), *pos + batch_rows);
+  for (int c = 0; c < t.num_columns(); ++c) {
+    out->col(c).AppendRange(t.col(c), *pos, end);
+  }
+  out->SetRowCount(end - *pos);
+  *pos = end;
+  return true;
+}
+
+bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
+  if (spec.size() > ordering.size()) return false;
+  return std::equal(spec.begin(), spec.end(), ordering.begin());
+}
+
 Schema JoinSchema(const Schema& left, const Schema& right,
                   const std::string& right_prefix) {
   Schema out;
@@ -70,37 +81,16 @@ Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
   return out;
 }
 
-/// Aggregate accumulator (the engine's, restated for batch streams).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
+}  // namespace internal
 
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles, not raw `<`: NaN must order totally (ties with NaN,
-    // after every value) or min/max stop being associative — and the
-    // parallel merge of per-fragment accumulators relies on associativity.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
+namespace {
 
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
+using internal::Acc;
+using internal::AggOutputSchema;
+using internal::CheckAggColumns;
+using internal::CheckColumns;
+using internal::EmitTableSlice;
+using internal::JoinSchema;
 
 bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   const Value v = b.col(p.col).Get(row);
@@ -113,20 +103,6 @@ bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
     case Predicate::Op::kBetween: return p.lo <= v && v <= p.hi;
   }
   return false;
-}
-
-/// Emits [pos, pos + batch_rows) of a materialized table and advances pos.
-/// The slice helper behind Scan and every pipeline breaker's emit phase.
-bool EmitTableSlice(const Table& t, int64_t* pos, int64_t batch_rows,
-                    Batch* out) {
-  if (*pos >= t.num_rows()) return false;
-  const int64_t end = std::min(t.num_rows(), *pos + batch_rows);
-  for (int c = 0; c < t.num_columns(); ++c) {
-    out->col(c).AppendRange(t.col(c), *pos, end);
-  }
-  out->SetRowCount(end - *pos);
-  *pos = end;
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +307,7 @@ class FilterOp : public Operator {
       : child_(std::move(child)), preds_(std::move(preds)) {
     schema_ = child_->schema();
     ordering_ = child_->ordering();
-    for (const auto& p : preds_) CheckColumn(schema_, p.col, "exec::Filter");
+    for (const auto& p : preds_) CheckColumns(schema_, {p.col}, "exec::Filter");
   }
 
   bool Next(Batch* out) override {
@@ -417,12 +393,8 @@ class StreamAggregateOp : public Operator {
     if (batch_rows_ < 1) {
       throw std::invalid_argument("exec::StreamAggregate: batch_rows < 1");
     }
-    CheckColumns(child_->schema(), group_cols_, "exec::StreamAggregate");
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount) {
-        CheckColumn(child_->schema(), a.col, "exec::StreamAggregate");
-      }
-    }
+    CheckAggColumns(child_->schema(), group_cols_, aggs_,
+                    "exec::StreamAggregate");
     schema_ = AggOutputSchema(child_->schema(), group_cols_, aggs_);
     rep_.Reset(child_->schema());
     // Output stays sorted by whatever prefix of the child's ordering the
@@ -532,15 +504,21 @@ struct Cursor {
 class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
-              opt::ExecStats* stats, const std::string& right_prefix)
+              opt::ExecStats* stats, int64_t batch_rows,
+              const std::string& right_prefix)
       : left_hold_(std::move(left)),
         right_hold_(std::move(right)),
         left_key_(left_key),
         right_key_(right_key),
-        stats_(stats) {
-    CheckColumn(left_hold_->schema(), left_key_, "exec::MergeJoin (left key)");
-    CheckColumn(right_hold_->schema(), right_key_,
-                "exec::MergeJoin (right key)");
+        stats_(stats),
+        batch_rows_(batch_rows) {
+    if (batch_rows_ < 1) {
+      throw std::invalid_argument("exec::MergeJoin: batch_rows < 1");
+    }
+    CheckColumns(left_hold_->schema(), {left_key_},
+                 "exec::MergeJoin (left key)");
+    CheckColumns(right_hold_->schema(), {right_key_},
+                 "exec::MergeJoin (right key)");
     schema_ =
         JoinSchema(left_hold_->schema(), right_hold_->schema(), right_prefix);
     // Rows stream out in left order; the precondition guarantees that order
@@ -556,7 +534,7 @@ class MergeJoinOp : public Operator {
 
   bool Next(Batch* out) override {
     PrepareBatch(out);
-    while (out->num_rows() < kDefaultBatchRows) {
+    while (out->num_rows() < batch_rows_) {
       if (run_active_) {
         EmitRun(out);
         continue;
@@ -616,7 +594,7 @@ class MergeJoinOp : public Operator {
       }
       if (stats_ != nullptr) stats_->rows_joined += run_.num_rows();
       left_.Advance();
-      if (out->num_rows() >= kDefaultBatchRows) return;
+      if (out->num_rows() >= batch_rows_) return;
     }
     run_active_ = false;
   }
@@ -626,6 +604,7 @@ class MergeJoinOp : public Operator {
   ColumnId left_key_;
   ColumnId right_key_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   Cursor left_;
   Cursor right_;
   Batch run_;  // buffered right-side equal-key run
@@ -667,60 +646,17 @@ class LimitOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Pipeline breakers. Each consumes its child via Drain(child, nullptr)
-// (no output-side stats: rows_output/batches describe the pipeline root).
-
-class SortOp : public Operator {
- public:
-  SortOp(OpPtr child, SortSpec spec, opt::ExecStats* stats,
-         int64_t batch_rows)
-      : child_(std::move(child)),
-        spec_(std::move(spec)),
-        stats_(stats),
-        batch_rows_(batch_rows) {
-    CheckColumns(child_->schema(), spec_, "exec::Sort");
-    schema_ = child_->schema();
-    ordering_ = spec_;
-  }
-
-  bool Next(Batch* out) override {
-    PrepareBatch(out);
-    if (!sorted_ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      bool was_sorted = false;
-      sorted_ = engine::SortBy(in, spec_, &was_sorted);
-      if (stats_ != nullptr) {
-        if (was_sorted) {
-          ++stats_->sorts_elided;  // runtime short-circuit: already sorted
-        } else {
-          ++stats_->sorts;
-        }
-      }
-      sorted_ready_ = true;
-    }
-    return EmitTableSlice(sorted_, &pos_, batch_rows_, out);
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "Sort by " + SpecString(spec_) +
-           " (pipeline breaker)\n" + child_->Describe(indent + 1);
-  }
-
- private:
-  OpPtr child_;
-  SortSpec spec_;
-  opt::ExecStats* stats_;
-  int64_t batch_rows_;
-  Table sorted_;
-  bool sorted_ready_ = false;
-  int64_t pos_ = 0;
-};
+// Pipeline breaker. TopK consumes its child via Drain(child, nullptr) (no
+// output-side stats: rows_output/batches describe the pipeline root). The
+// other breakers — ExternalSort, HashAggregate, HashJoin's build — live
+// with their streaming kernels in external_sort.cc and parallel.cc.
 
 class TopKOp : public Operator {
  public:
-  TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats)
+  TopKOp(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats,
+         int64_t batch_rows)
       : child_(std::move(child)), spec_(std::move(spec)), k_(k),
-        stats_(stats) {
+        stats_(stats), batch_rows_(batch_rows) {
     CheckColumns(child_->schema(), spec_, "exec::TopK");
     schema_ = child_->schema();
     ordering_ = spec_;
@@ -745,7 +681,7 @@ class TopKOp : public Operator {
       if (stats_ != nullptr) ++stats_->sorts;  // the enforcer was paid
       ready_ = true;
     }
-    return EmitTableSlice(top_, &pos_, kDefaultBatchRows, out);
+    return EmitTableSlice(top_, &pos_, batch_rows_, out);
   }
 
   std::string Describe(int indent) const override {
@@ -758,124 +694,10 @@ class TopKOp : public Operator {
   SortSpec spec_;
   int64_t k_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   Table top_;
   bool ready_ = false;
   int64_t pos_ = 0;
-};
-
-class HashAggregateOp : public Operator {
- public:
-  HashAggregateOp(OpPtr child, std::vector<ColumnId> group_cols,
-                  std::vector<AggSpec> aggs)
-      : child_(std::move(child)),
-        group_cols_(std::move(group_cols)),
-        aggs_(std::move(aggs)) {
-    CheckColumns(child_->schema(), group_cols_, "exec::HashAggregate");
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount) {
-        CheckColumn(child_->schema(), a.col, "exec::HashAggregate");
-      }
-    }
-    schema_ = AggOutputSchema(child_->schema(), group_cols_, aggs_);
-  }
-
-  bool Next(Batch* out) override {
-    PrepareBatch(out);
-    if (!ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      result_ = engine::HashGroupBy(in, group_cols_, aggs_);
-      ready_ = true;
-    }
-    return EmitTableSlice(result_, &pos_, kDefaultBatchRows, out);
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "HashAggregate groups=" + SpecString(group_cols_) +
-           " (pipeline breaker)\n" + child_->Describe(indent + 1);
-  }
-
- private:
-  OpPtr child_;
-  std::vector<ColumnId> group_cols_;
-  std::vector<AggSpec> aggs_;
-  Table result_;
-  bool ready_ = false;
-  int64_t pos_ = 0;
-};
-
-class HashJoinOp : public Operator {
- public:
-  HashJoinOp(OpPtr left, ColumnId left_key, OpPtr right, ColumnId right_key,
-             opt::ExecStats* stats, const std::string& right_prefix)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_(left_key),
-        right_key_(right_key),
-        stats_(stats) {
-    CheckColumn(left_->schema(), left_key_, "exec::HashJoin (left key)");
-    CheckColumn(right_->schema(), right_key_, "exec::HashJoin (right key)");
-    // The build table and probe loop read keys through the unchecked
-    // int64 accessor; reject other key types up front instead of reading
-    // out of bounds.
-    if (left_->schema().col(left_key_).type != DataType::kInt64 ||
-        right_->schema().col(right_key_).type != DataType::kInt64) {
-      throw std::invalid_argument(
-          "exec::HashJoin: join keys must be int64 columns (use MergeJoin "
-          "for other key types)");
-    }
-    schema_ = JoinSchema(left_->schema(), right_->schema(), right_prefix);
-    ordering_ = left_->ordering();  // probe preserves left row order
-    left_cols_ = left_->schema().num_columns();
-    if (stats_ != nullptr) ++stats_->joins;
-  }
-
-  bool Next(Batch* out) override {
-    PrepareBatch(out);
-    if (!built_) {
-      build_ = Drain(right_.get(), nullptr);
-      table_.reserve(build_.num_rows());
-      for (int64_t r = 0; r < build_.num_rows(); ++r) {
-        table_.emplace(build_.col(right_key_).Int(r), r);
-      }
-      built_ = true;
-    }
-    while (out->empty()) {
-      if (!left_->Next(&scratch_)) return false;
-      for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
-        auto [begin, end] =
-            table_.equal_range(scratch_.col(left_key_).Int(l));
-        for (auto it = begin; it != end; ++it) {
-          for (int c = 0; c < left_cols_; ++c) {
-            out->col(c).AppendFrom(scratch_.col(c), l);
-          }
-          for (int c = 0; c < build_.num_columns(); ++c) {
-            out->col(left_cols_ + c).AppendFrom(build_.col(c), it->second);
-          }
-          out->FinishRow();
-          if (stats_ != nullptr) ++stats_->rows_joined;
-        }
-      }
-    }
-    return true;
-  }
-
-  std::string Describe(int indent) const override {
-    return Pad(indent) + "HashJoin keys=(" + std::to_string(left_key_) +
-           ", " + std::to_string(right_key_) + ") (build right)\n" +
-           left_->Describe(indent + 1) + right_->Describe(indent + 1);
-  }
-
- private:
-  OpPtr left_;
-  OpPtr right_;
-  ColumnId left_key_;
-  ColumnId right_key_;
-  opt::ExecStats* stats_;
-  Table build_;
-  std::unordered_multimap<int64_t, int64_t> table_;
-  bool built_ = false;
-  int left_cols_ = 0;
-  Batch scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -976,41 +798,21 @@ OpPtr StreamDistinct(OpPtr child, std::vector<ColumnId> cols) {
 }
 
 OpPtr MergeJoin(OpPtr left, ColumnId left_key, OpPtr right,
-                ColumnId right_key, opt::ExecStats* stats,
+                ColumnId right_key, opt::ExecStats* stats, int64_t batch_rows,
                 const std::string& right_prefix) {
   return std::make_unique<MergeJoinOp>(std::move(left), left_key,
                                        std::move(right), right_key, stats,
-                                       right_prefix);
+                                       batch_rows, right_prefix);
 }
 
 OpPtr Limit(OpPtr child, int64_t n) {
   return std::make_unique<LimitOp>(std::move(child), n);
 }
 
-OpPtr Sort(OpPtr child, SortSpec spec, opt::ExecStats* stats,
+OpPtr TopK(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats,
            int64_t batch_rows) {
-  return std::make_unique<SortOp>(std::move(child), std::move(spec), stats,
-                                  batch_rows);
-}
-
-OpPtr TopK(OpPtr child, SortSpec spec, int64_t k, opt::ExecStats* stats) {
   return std::make_unique<TopKOp>(std::move(child), std::move(spec), k,
-                                  stats);
-}
-
-OpPtr HashAggregate(OpPtr child, std::vector<ColumnId> group_cols,
-                    std::vector<AggSpec> aggs) {
-  return std::make_unique<HashAggregateOp>(std::move(child),
-                                           std::move(group_cols),
-                                           std::move(aggs));
-}
-
-OpPtr HashJoin(OpPtr left, ColumnId left_key, OpPtr right,
-               ColumnId right_key, opt::ExecStats* stats,
-               const std::string& right_prefix) {
-  return std::make_unique<HashJoinOp>(std::move(left), left_key,
-                                      std::move(right), right_key, stats,
-                                      right_prefix);
+                                  stats, batch_rows);
 }
 
 OpPtr CheckOrder(OpPtr child) {

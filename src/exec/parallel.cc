@@ -13,6 +13,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/value.h"
+#include "exec/internal.h"
 
 namespace od {
 namespace exec {
@@ -24,21 +25,15 @@ using engine::ColumnId;
 using engine::DataType;
 using engine::Schema;
 using engine::SortSpec;
+using engine::SpecString;
 using engine::Table;
-
-std::string SpecStr(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
-  if (spec.size() > ordering.size()) return false;
-  return std::equal(spec.begin(), spec.end(), ordering.begin());
-}
+using internal::Acc;
+using internal::AggOutputSchema;
+using internal::CheckAggColumns;
+using internal::CheckColumns;
+using internal::EmitTableSlice;
+using internal::IsPrefixOf;
+using internal::JoinSchema;
 
 /// `text` with every line indented `indent` levels (a fragment template's
 /// Describe under its parallel operator).
@@ -286,7 +281,7 @@ class ExchangeOp : public Operator {
     std::string out = Pad(indent) + "Exchange fragments=" +
                       std::to_string(num_fragments_) + " streaming";
     if (mode_ == MergeMode::kOrderedMerge) {
-      out += " ordered-merge " + SpecStr(merge_spec_) + " (OD-proven)";
+      out += " ordered-merge " + SpecString(merge_spec_) + " (OD-proven)";
     } else {
       out += " union";
     }
@@ -318,9 +313,9 @@ class ExchangeOp : public Operator {
       // that cannot *claim* the merge order (planner-proven via
       // OrderReasoner) must not be merged order-preservingly.
       throw std::logic_error(
-          "exec::Exchange: ordered merge on " + SpecStr(merge_spec_) +
+          "exec::Exchange: ordered merge on " + SpecString(merge_spec_) +
           " but fragment " + std::to_string(i) + " only claims " +
-          SpecStr(frag->ordering()) + " — no OD proof, use kUnion + Sort");
+          SpecString(frag->ordering()) + " — no OD proof, use kUnion + Sort");
     }
   }
 
@@ -334,7 +329,7 @@ class ExchangeOp : public Operator {
     if (last_row_.num_rows() > 0 &&
         Batch::CompareRows(b, 0, last_row_, 0, merge_spec_) < 0) {
       throw std::logic_error(
-          "exec::Exchange: ordered merge on " + SpecStr(merge_spec_) +
+          "exec::Exchange: ordered merge on " + SpecString(merge_spec_) +
           " saw fragment " + std::to_string(union_cur_) +
           " start below the rows before it — its morsel is not a "
           "contiguous slice of the ordered stream");
@@ -486,46 +481,6 @@ class ExchangeOp : public Operator {
 // ---------------------------------------------------------------------------
 // Partition-parallel aggregation.
 
-/// The engine's aggregate accumulator, restated: raw moments only, so
-/// partials from different workers merge exactly (avg = sum/count is
-/// finished after the merge, never merged itself).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
-
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles keeps min/max associative under NaN (NaN ties with
-    // NaN, orders after every value) — the exact property the fragment
-    // merge below needs to reproduce the serial stream's answer.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
-  void Merge(const Acc& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.has && (!has || CompareDoubles(o.min, min) < 0)) min = o.min;
-    if (o.has && (!has || CompareDoubles(o.max, max) > 0)) max = o.max;
-    has |= o.has;
-  }
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
-
 /// One worker's aggregation state: group-key string -> slot, plus the
 /// group's key values (for emitting) and one Acc per aggregate.
 struct LocalAgg {
@@ -544,56 +499,40 @@ std::string GroupKey(const Batch& b, int64_t row,
   return key;
 }
 
-Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
-                       const std::vector<AggSpec>& aggs) {
-  Schema out;
-  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
-  for (const auto& a : aggs) {
-    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
-                                                        : DataType::kDouble);
-  }
-  return out;
-}
-
-class ParallelHashAggregateOp : public Operator {
+/// The one hash-aggregation kernel. Partition-parallel form: each fragment
+/// is drained into its own LocalAgg inside a scheduler task, then the
+/// partials are merged accumulator-wise. Single-stream form (`factory`
+/// empty, `frag0` the input): the same build on the caller's thread, no
+/// task, no fragment accounting — exec::HashAggregate.
+class HashAggregateOp : public Operator {
  public:
-  ParallelHashAggregateOp(int num_fragments, FragmentFactory factory,
-                          std::vector<ColumnId> group_cols,
-                          std::vector<AggSpec> aggs,
-                          common::ThreadPool* pool, opt::ExecStats* stats,
-                          int64_t batch_rows)
+  HashAggregateOp(int num_fragments, FragmentFactory factory, OpPtr frag0,
+                  std::vector<ColumnId> group_cols, std::vector<AggSpec> aggs,
+                  common::ThreadPool* pool, opt::ExecStats* stats,
+                  int64_t batch_rows)
       : group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
         pool_(pool),
         stats_(stats),
         batch_rows_(batch_rows),
         num_fragments_(num_fragments),
-        factory_(std::move(factory)) {
+        factory_(std::move(factory)),
+        frag0_(std::move(frag0)) {
     if (num_fragments_ < 1) {
       throw std::invalid_argument(
           "exec::ParallelHashAggregate: need >= 1 fragment");
     }
+    if (batch_rows_ < 1) {
+      throw std::invalid_argument("exec::HashAggregate: batch_rows < 1");
+    }
     frag_stats_.resize(num_fragments_);
     // Fragment 0 eagerly for the schema; the rest inside their tasks.
-    frag0_ = factory_(0, &frag_stats_[0]);
+    if (frag0_ == nullptr && factory_) frag0_ = factory_(0, &frag_stats_[0]);
     if (frag0_ == nullptr) {
-      throw std::invalid_argument(
-          "exec::ParallelHashAggregate: null fragment");
+      throw std::invalid_argument("exec::HashAggregate: null fragment");
     }
     const Schema& in = frag0_->schema();
-    for (ColumnId c : group_cols_) {
-      if (c < 0 || c >= in.num_columns()) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: group column out of range");
-      }
-    }
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount &&
-          (a.col < 0 || a.col >= in.num_columns())) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: agg column out of range");
-      }
-    }
+    CheckAggColumns(in, group_cols_, aggs_, "exec::HashAggregate");
     schema_ = AggOutputSchema(in, group_cols_, aggs_);
     // ordering_ stays empty: hash aggregation has no output order.
     describe_child_ = frag0_->Describe(0);
@@ -602,77 +541,80 @@ class ParallelHashAggregateOp : public Operator {
   bool Next(Batch* out) override {
     PrepareBatch(out);
     if (!ready_) BuildAndMerge();
-    if (pos_ >= result_.num_rows()) return false;
-    const int64_t end = std::min(result_.num_rows(), pos_ + batch_rows_);
-    for (int c = 0; c < result_.num_columns(); ++c) {
-      out->col(c).AppendRange(result_.col(c), pos_, end);
-    }
-    out->SetRowCount(end - pos_);
-    pos_ = end;
-    return true;
+    return EmitTableSlice(result_, &pos_, batch_rows_, out);
   }
 
   std::string Describe(int indent) const override {
-    std::string out = Pad(indent) + "ParallelHashAggregate fragments=" +
-                      std::to_string(num_fragments_) + " groups=" +
-                      SpecStr(group_cols_) +
-                      " (thread-local build + merge)\n";
+    std::string out =
+        factory_ ? Pad(indent) + "ParallelHashAggregate fragments=" +
+                       std::to_string(num_fragments_) + " groups=" +
+                       SpecString(group_cols_) +
+                       " (thread-local build + merge)\n"
+                 : Pad(indent) + "HashAggregate groups=" +
+                       SpecString(group_cols_) + " (pipeline breaker)\n";
     return out + IndentLines(describe_child_, indent + 1);
   }
 
  private:
-  void BuildAndMerge() {
-    const int n = num_fragments_;
-    std::vector<LocalAgg> locals(n);
-    // Fragments are built *inside* their tasks (fragment 0 was pre-built
-    // for the schema) and drained into per-fragment LocalAggs; with a null
-    // or single-threaded pool TaskGroup::Submit degenerates to running
-    // them inline.
-    auto build_one = [&](int i) {
-      OD_TRACE_SPAN("exchange.fragment");
-      OpPtr frag = i == 0 ? std::move(frag0_) : factory_(i, &frag_stats_[i]);
-      if (frag == nullptr) {
-        throw std::invalid_argument(
-            "exec::ParallelHashAggregate: null fragment");
-      }
-      frag->StartConsume("exec::ParallelHashAggregate");
-      LocalAgg& local = locals[i];
-      Batch batch;
-      while (frag->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          std::string key = GroupKey(batch, r, group_cols_);
-          auto [it, inserted] = local.slots.try_emplace(
-              std::move(key), static_cast<int64_t>(local.accs.size()));
-          if (inserted) {
-            std::vector<Value> vals;
-            vals.reserve(group_cols_.size());
-            for (ColumnId c : group_cols_) {
-              vals.push_back(batch.col(c).Get(r));
-            }
-            local.group_vals.push_back(std::move(vals));
-            local.accs.emplace_back(aggs_.size());
+  /// Drains fragment `i` into `local`.
+  void BuildLocal(int i, LocalAgg* local) {
+    OpPtr frag = i == 0 ? std::move(frag0_) : factory_(i, &frag_stats_[i]);
+    if (frag == nullptr) {
+      throw std::invalid_argument("exec::HashAggregate: null fragment");
+    }
+    frag->StartConsume("exec::HashAggregate");
+    Batch batch;
+    while (frag->Next(&batch)) {
+      for (int64_t r = 0; r < batch.num_rows(); ++r) {
+        std::string key = GroupKey(batch, r, group_cols_);
+        auto [it, inserted] = local->slots.try_emplace(
+            std::move(key), static_cast<int64_t>(local->accs.size()));
+        if (inserted) {
+          std::vector<Value> vals;
+          vals.reserve(group_cols_.size());
+          for (ColumnId c : group_cols_) {
+            vals.push_back(batch.col(c).Get(r));
           }
-          std::vector<Acc>& accs = local.accs[it->second];
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            if (aggs_[a].kind == AggSpec::Kind::kCount) {
-              accs[a].AddCountOnly();
-            } else {
-              accs[a].Add(batch.col(aggs_[a].col).Numeric(r));
-            }
+          local->group_vals.push_back(std::move(vals));
+          local->accs.emplace_back(aggs_.size());
+        }
+        std::vector<Acc>& accs = local->accs[it->second];
+        for (size_t a = 0; a < aggs_.size(); ++a) {
+          if (aggs_[a].kind == AggSpec::Kind::kCount) {
+            accs[a].AddCountOnly();
+          } else {
+            accs[a].Add(batch.col(aggs_[a].col).Numeric(r));
           }
         }
       }
-    };
-    {
+    }
+  }
+
+  void BuildAndMerge() {
+    const int n = num_fragments_;
+    std::vector<LocalAgg> locals(n);
+    if (!factory_) {
+      BuildLocal(0, &locals[0]);
+    } else {
+      // Fragments are built *inside* their tasks (fragment 0 was pre-built
+      // for the schema); with a null or single-threaded pool
+      // TaskGroup::Submit degenerates to running them inline.
       common::TaskGroup group(pool_);
       for (int i = 0; i < n; ++i) {
-        group.Submit([&build_one, i] { build_one(i); });
+        group.Submit([this, &locals, i] {
+          OD_TRACE_SPAN("exchange.fragment");
+          BuildLocal(i, &locals[i]);
+        });
       }
       group.Wait();  // rethrows the first fragment failure
     }
-    // Single-threaded merge, fragment order: deterministic group order.
-    LocalAgg merged;
-    for (LocalAgg& local : locals) {
+    // Single-threaded merge into fragment 0's table, in fragment order:
+    // groups come out in first-seen order of fragment 0, then each later
+    // fragment's new groups — deterministic, and for a single stream the
+    // order engine::HashGroupBy emits.
+    LocalAgg merged = std::move(locals[0]);
+    for (int i = 1; i < n; ++i) {
+      LocalAgg& local = locals[i];
       for (auto& [key, slot] : local.slots) {
         auto [it, inserted] = merged.slots.try_emplace(
             key, static_cast<int64_t>(merged.accs.size()));
@@ -713,7 +655,7 @@ class ParallelHashAggregateOp : public Operator {
   opt::ExecStats* stats_;
   int64_t batch_rows_;
   int num_fragments_;
-  FragmentFactory factory_;
+  FragmentFactory factory_;  // empty: single-stream form
   std::vector<opt::ExecStats> frag_stats_;
   OpPtr frag0_;
   std::string describe_child_;
@@ -769,7 +711,7 @@ class CombinePartialAggregatesOp : public Operator {
     if (covered < num_groups_) {
       throw std::logic_error(
           "exec::CombinePartialAggregates: child ordering " +
-          SpecStr(ord) + " does not make the " +
+          SpecString(ord) + " does not make the " +
           std::to_string(num_groups_) +
           " group columns contiguous — partial groups could reappear");
     }
@@ -888,83 +830,147 @@ class CombinePartialAggregatesOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Shared-build parallel hash join.
+// Hash join: one build (BuildSharedHash), one probe loop (HashProbeOp).
 
-Schema JoinSchema(const Schema& left, const Schema& right,
-                  const std::string& right_prefix) {
-  Schema out;
-  for (int c = 0; c < left.num_columns(); ++c) {
-    out.Add(left.col(c).name, left.col(c).type);
+/// Validates a join key: in range and int64 (the build table and the probe
+/// loop read keys through the unchecked int64 accessor).
+void CheckInt64Key(const Schema& s, ColumnId key, const char* who) {
+  CheckColumns(s, {key}, who);
+  if (s.col(key).type != DataType::kInt64) {
+    throw std::invalid_argument(std::string(who) +
+                                ": join keys must be int64 columns (use "
+                                "MergeJoin for other key types)");
   }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    std::string name = right.col(c).name;
-    if (out.Find(name) >= 0) name = right_prefix + name;
-    out.Add(name, right.col(c).type);
-  }
-  return out;
 }
 
+std::shared_ptr<const SharedHashTable> BuildHashTable(Operator* build,
+                                                      ColumnId key,
+                                                      opt::ExecStats* stats) {
+  auto table = std::make_shared<SharedHashTable>();
+  table->rows = Drain(build, nullptr);
+  table->index.reserve(table->rows.num_rows());
+  for (int64_t r = 0; r < table->rows.num_rows(); ++r) {
+    table->index.emplace(table->rows.col(key).Int(r), r);
+  }
+  if (stats != nullptr) ++stats->joins;  // one logical join, many probes
+  return table;
+}
+
+/// Streams the probe child against a hash table, emitting probe columns
+/// then build columns per match, up to batch_rows rows per batch — a probe
+/// row whose matches overflow the batch resumes on the next call, so a
+/// high fan-out join never emits more than batch_rows rows at once. The
+/// table is either shared (a parallel join's fragment: built once by
+/// BuildSharedHash) or owned (exec::HashJoin: built from `build_` on the
+/// first Next, so the build is charged to this operator).
 class HashProbeOp : public Operator {
  public:
   HashProbeOp(OpPtr probe, ColumnId probe_key,
-              std::shared_ptr<const SharedHashTable> table,
-              opt::ExecStats* stats, const std::string& right_prefix)
+              std::shared_ptr<const SharedHashTable> table, OpPtr build,
+              ColumnId build_key, opt::ExecStats* stats, int64_t batch_rows,
+              const std::string& right_prefix)
       : probe_(std::move(probe)),
         probe_key_(probe_key),
         table_(std::move(table)),
-        stats_(stats) {
-    if (table_ == nullptr) {
+        build_(std::move(build)),
+        build_key_(build_key),
+        stats_(stats),
+        batch_rows_(batch_rows) {
+    const char* who = build_ != nullptr ? "exec::HashJoin" : "exec::HashProbe";
+    if (table_ == nullptr && build_ == nullptr) {
       throw std::invalid_argument("exec::HashProbe: null build table");
     }
-    if (probe_key_ < 0 || probe_key_ >= probe_->schema().num_columns()) {
-      throw std::out_of_range("exec::HashProbe: probe key out of range");
+    if (batch_rows_ < 1) {
+      throw std::invalid_argument(std::string(who) + ": batch_rows < 1");
     }
-    if (probe_->schema().col(probe_key_).type != DataType::kInt64) {
-      throw std::invalid_argument(
-          "exec::HashProbe: probe key must be an int64 column");
-    }
-    schema_ = JoinSchema(probe_->schema(), table_->rows.schema(),
-                         right_prefix);
+    CheckInt64Key(probe_->schema(), probe_key_, who);
+    if (build_ != nullptr) CheckInt64Key(build_->schema(), build_key_, who);
+    const Schema& build_schema =
+        build_ != nullptr ? build_->schema() : table_->rows.schema();
+    schema_ = JoinSchema(probe_->schema(), build_schema, right_prefix);
     ordering_ = probe_->ordering();  // probing preserves probe row order
     probe_cols_ = probe_->schema().num_columns();
+    scratch_.Reset(probe_->schema());  // typed before the first refill
+    if (table_ != nullptr) match_ = match_end_ = table_->index.end();
   }
 
   bool Next(Batch* out) override {
     PrepareBatch(out);
-    while (out->empty()) {
-      if (!probe_->Next(&scratch_)) return false;
-      for (int64_t l = 0; l < scratch_.num_rows(); ++l) {
-        auto [begin, end] =
-            table_->index.equal_range(scratch_.col(probe_key_).Int(l));
-        for (auto it = begin; it != end; ++it) {
+    if (table_ == nullptr) {
+      table_ = BuildHashTable(build_.get(), build_key_, stats_);
+      match_ = match_end_ = table_->index.end();
+    }
+    const auto& index = table_->index;
+    while (out->num_rows() < batch_rows_) {
+      if (match_ != match_end_) {
+        // Emit the current probe row's matches, as many as fit.
+        Match it = match_;
+        for (int64_t room = batch_rows_ - out->num_rows();
+             it != match_end_ && room > 0; ++it, --room) {
           for (int c = 0; c < probe_cols_; ++c) {
-            out->col(c).AppendFrom(scratch_.col(c), l);
+            out->col(c).AppendFrom(scratch_.col(c), row_);
           }
           for (int c = 0; c < table_->rows.num_columns(); ++c) {
-            out->col(probe_cols_ + c)
-                .AppendFrom(table_->rows.col(c), it->second);
+            out->col(probe_cols_ + c).AppendFrom(table_->rows.col(c),
+                                                 it->second);
           }
           out->FinishRow();
-          if (stats_ != nullptr) ++stats_->rows_joined;
+        }
+        match_ = it;
+        continue;
+      }
+      // Advance to the next probe row that has a match, refilling the
+      // probe batch as needed.
+      const engine::Column& keys = scratch_.col(probe_key_);
+      const int64_t n = scratch_.num_rows();
+      int64_t r = row_ + 1;
+      for (; r < n; ++r) {
+        const auto range = index.equal_range(keys.Int(r));
+        if (range.first != range.second) {
+          std::tie(match_, match_end_) = range;
+          break;
         }
       }
+      row_ = r;
+      if (r < n) continue;
+      if (done_ || !probe_->Next(&scratch_)) {
+        done_ = true;
+        break;
+      }
+      row_ = -1;
     }
-    return true;
+    if (stats_ != nullptr) stats_->rows_joined += out->num_rows();
+    return !out->empty();
   }
 
   std::string Describe(int indent) const override {
+    if (build_ != nullptr) {
+      return Pad(indent) + "HashJoin keys=(" + std::to_string(probe_key_) +
+             ", " + std::to_string(build_key_) + ") (build right)\n" +
+             probe_->Describe(indent + 1) + build_->Describe(indent + 1);
+    }
     return Pad(indent) + "HashProbe key=" + std::to_string(probe_key_) +
            " (shared build, " + std::to_string(table_->rows.num_rows()) +
            " rows)\n" + probe_->Describe(indent + 1);
   }
 
  private:
+  using Match = std::unordered_multimap<int64_t, int64_t>::const_iterator;
+
   OpPtr probe_;
   ColumnId probe_key_;
   std::shared_ptr<const SharedHashTable> table_;
+  OpPtr build_;  // exec::HashJoin's build child; null for a shared table
+  ColumnId build_key_;
   opt::ExecStats* stats_;
+  int64_t batch_rows_;
   int probe_cols_ = 0;
   Batch scratch_;
+  int64_t row_ = -1;  // current probe row of scratch_
+  bool done_ = false;
+  // The current probe row's unemitted matches; both end() when none.
+  Match match_;
+  Match match_end_;
 };
 
 }  // namespace
@@ -982,9 +988,20 @@ OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
                             std::vector<engine::AggSpec> aggs,
                             common::ThreadPool* pool, opt::ExecStats* stats,
                             int64_t batch_rows) {
-  return std::make_unique<ParallelHashAggregateOp>(
-      num_fragments, std::move(factory), std::move(group_cols),
+  if (!factory) {
+    throw std::invalid_argument(
+        "exec::ParallelHashAggregate: null fragment factory");
+  }
+  return std::make_unique<HashAggregateOp>(
+      num_fragments, std::move(factory), nullptr, std::move(group_cols),
       std::move(aggs), pool, stats, batch_rows);
+}
+
+OpPtr HashAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
+                    std::vector<engine::AggSpec> aggs, int64_t batch_rows) {
+  return std::make_unique<HashAggregateOp>(
+      1, FragmentFactory(), std::move(child), std::move(group_cols),
+      std::move(aggs), /*pool=*/nullptr, /*stats=*/nullptr, batch_rows);
 }
 
 OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
@@ -996,29 +1013,25 @@ OpPtr CombinePartialAggregates(OpPtr child, int num_group_cols,
 
 std::shared_ptr<const SharedHashTable> BuildSharedHash(
     OpPtr build, engine::ColumnId key, opt::ExecStats* stats) {
-  if (key < 0 || key >= build->schema().num_columns()) {
-    throw std::out_of_range("exec::BuildSharedHash: key out of range");
-  }
-  if (build->schema().col(key).type != DataType::kInt64) {
-    throw std::invalid_argument(
-        "exec::BuildSharedHash: build key must be an int64 column");
-  }
-  auto table = std::make_shared<SharedHashTable>();
-  table->rows = Drain(build.get(), nullptr);
-  table->index.reserve(table->rows.num_rows());
-  for (int64_t r = 0; r < table->rows.num_rows(); ++r) {
-    table->index.emplace(table->rows.col(key).Int(r), r);
-  }
-  if (stats != nullptr) ++stats->joins;  // one logical join, many probes
-  return table;
+  CheckInt64Key(build->schema(), key, "exec::BuildSharedHash");
+  return BuildHashTable(build.get(), key, stats);
 }
 
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
-                opt::ExecStats* stats, const std::string& right_prefix) {
+                opt::ExecStats* stats, int64_t batch_rows,
+                const std::string& right_prefix) {
   return std::make_unique<HashProbeOp>(std::move(probe), probe_key,
-                                       std::move(table), stats,
-                                       right_prefix);
+                                       std::move(table), nullptr, -1, stats,
+                                       batch_rows, right_prefix);
+}
+
+OpPtr HashJoin(OpPtr left, engine::ColumnId left_key, OpPtr right,
+               engine::ColumnId right_key, opt::ExecStats* stats,
+               int64_t batch_rows, const std::string& right_prefix) {
+  return std::make_unique<HashProbeOp>(std::move(left), left_key, nullptr,
+                                       std::move(right), right_key, stats,
+                                       batch_rows, right_prefix);
 }
 
 }  // namespace exec

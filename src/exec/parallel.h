@@ -96,7 +96,7 @@ OpPtr Exchange(int num_fragments, FragmentFactory factory, MergeMode mode,
 /// merged accumulator-wise after the join — so non-decomposable results
 /// like kAvg still come out exact (avg is finished only after the merge).
 /// Output schema: group columns then one column per aggregate; no output
-/// ordering (like HashAggregate).
+/// ordering. exec::HashAggregate is this kernel over a single stream.
 OpPtr ParallelHashAggregate(int num_fragments, FragmentFactory factory,
                             std::vector<engine::ColumnId> group_cols,
                             std::vector<engine::AggSpec> aggs,
@@ -133,10 +133,15 @@ std::shared_ptr<const SharedHashTable> BuildSharedHash(
 
 /// Streams `probe`, emitting probe columns then build columns (colliding
 /// names prefixed) for every match in `table` — the per-fragment probe half
-/// of a parallel hash join. Preserves the probe child's ordering.
+/// of a parallel hash join, and (with its own build) exec::HashJoin.
+/// Batches hold up to `batch_rows` rows: a probe row whose matches do not
+/// fit resumes on the next Next, so a high fan-out join stays within the
+/// plan's batch size (and so within an exchange's row-bounded queues).
+/// Preserves the probe child's ordering.
 OpPtr HashProbe(OpPtr probe, engine::ColumnId probe_key,
                 std::shared_ptr<const SharedHashTable> table,
                 opt::ExecStats* stats = nullptr,
+                int64_t batch_rows = kDefaultBatchRows,
                 const std::string& right_prefix = "r_");
 
 }  // namespace exec

@@ -43,36 +43,5 @@ bool QualifyingRowsContiguous(const engine::Table& dim,
   return true;
 }
 
-PlanPtr BuildBaselinePlan(const engine::Table* fact, const engine::Table* dim,
-                          const DateRangeQuery& query) {
-  PlanPtr dim_scan = FilterNode(TableScan(dim), query.dim_predicates);
-  PlanPtr join = HashJoinNode(TableScan(fact), query.fact_date_sk,
-                              std::move(dim_scan), query.dim_date_sk);
-  return HashAggNode(std::move(join), query.fact_group_cols, query.fact_aggs);
-}
-
-PlanPtr BuildRewrittenPlan(const engine::OrderedIndex* fact_sk_index,
-                           const DateRangeQuery& query,
-                           std::pair<int64_t, int64_t> sk_range) {
-  return HashAggNode(IndexScan(fact_sk_index, sk_range),
-                     query.fact_group_cols, query.fact_aggs);
-}
-
-PlanPtr BuildRewrittenPartitionedPlan(const engine::PartitionedTable* fact,
-                                      const DateRangeQuery& query,
-                                      std::pair<int64_t, int64_t> sk_range) {
-  return HashAggNode(PartitionedScan(fact, sk_range), query.fact_group_cols,
-                     query.fact_aggs);
-}
-
-PlanPtr BuildBaselinePartitionedPlan(const engine::PartitionedTable* fact,
-                                     const engine::Table* dim,
-                                     const DateRangeQuery& query) {
-  PlanPtr dim_scan = FilterNode(TableScan(dim), query.dim_predicates);
-  PlanPtr join = HashJoinNode(PartitionedScan(fact), query.fact_date_sk,
-                              std::move(dim_scan), query.dim_date_sk);
-  return HashAggNode(std::move(join), query.fact_group_cols, query.fact_aggs);
-}
-
 }  // namespace opt
 }  // namespace od

@@ -2,6 +2,7 @@
 #define OD_OPTIMIZER_DATE_REWRITE_H_
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -9,7 +10,6 @@
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 
 namespace od {
 namespace opt {
@@ -58,26 +58,6 @@ std::optional<std::pair<int64_t, int64_t>> SurrogateKeyRange(
 bool QualifyingRowsContiguous(const engine::Table& dim,
                               engine::ColumnId dim_date_sk,
                               const std::vector<engine::Predicate>& preds);
-
-/// Baseline plan: Filter(dim) ⋈ fact, then hash aggregation.
-PlanPtr BuildBaselinePlan(const engine::Table* fact,
-                          const engine::Table* dim,
-                          const DateRangeQuery& query);
-
-/// Rewritten plan: fact-index range scan (no join), then aggregation.
-PlanPtr BuildRewrittenPlan(const engine::OrderedIndex* fact_sk_index,
-                           const DateRangeQuery& query,
-                           std::pair<int64_t, int64_t> sk_range);
-
-/// Rewritten plan over a date-partitioned fact: pruned partition scan.
-PlanPtr BuildRewrittenPartitionedPlan(const engine::PartitionedTable* fact,
-                                      const DateRangeQuery& query,
-                                      std::pair<int64_t, int64_t> sk_range);
-
-/// Baseline over a partitioned fact: all partitions + join.
-PlanPtr BuildBaselinePartitionedPlan(const engine::PartitionedTable* fact,
-                                     const engine::Table* dim,
-                                     const DateRangeQuery& query);
 
 }  // namespace opt
 }  // namespace od

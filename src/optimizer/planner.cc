@@ -27,16 +27,8 @@ namespace {
 using engine::ColumnId;
 using engine::Predicate;
 using engine::SortSpec;
+using engine::SpecString;
 using Kind = PhysicalNode::Kind;
-
-std::string SpecString(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
 
 std::unique_ptr<PhysicalNode> Clone(const PhysicalNode& n) {
   auto out = std::make_unique<PhysicalNode>();
@@ -1081,7 +1073,7 @@ exec::OpPtr CompileFragment(
       auto probe = CompileFragment(*n.children[0], tables, stats, opts,
                                    morsel, shared, shared_idx);
       return exec::HashProbe(std::move(probe), n.left_key, std::move(table),
-                             stats);
+                             stats, opts.batch_rows);
     }
     case Kind::kStreamAgg:
       return exec::StreamAggregate(
@@ -1164,23 +1156,20 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
       op = exec::Project(CompileNode(*n.children[0], tables, stats, opts),
                          n.spec);
       break;
-    case Kind::kSort:
-      if (opts.spill_budget_rows >= 0) {
-        exec::SortOptions so;
-        so.memory_budget_rows = opts.spill_budget_rows;
-        so.temp_dir = opts.spill_dir;
-        so.pool = opts.pool;
-        op = exec::ExternalSort(
-            CompileNode(*n.children[0], tables, stats, opts), n.spec, so,
-            stats, opts.batch_rows);
-      } else {
-        op = exec::Sort(CompileNode(*n.children[0], tables, stats, opts),
-                        n.spec, stats, opts.batch_rows);
-      }
+    case Kind::kSort: {
+      // The one sort path: a budget < 0 keeps the whole input as one
+      // in-memory run.
+      exec::SortOptions so;
+      so.memory_budget_rows = opts.spill_budget_rows;
+      so.temp_dir = opts.spill_dir;
+      so.pool = opts.pool;
+      op = exec::ExternalSort(CompileNode(*n.children[0], tables, stats, opts),
+                              n.spec, so, stats, opts.batch_rows);
       break;
+    }
     case Kind::kTopK:
       op = exec::TopK(CompileNode(*n.children[0], tables, stats, opts),
-                      n.spec, n.limit, stats);
+                      n.spec, n.limit, stats, opts.batch_rows);
       break;
     case Kind::kLimit:
       op = exec::Limit(CompileNode(*n.children[0], tables, stats, opts),
@@ -1194,19 +1183,19 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
     case Kind::kHashAgg:
       op = exec::HashAggregate(
           CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs);
+          n.aggs, opts.batch_rows);
       break;
     case Kind::kMergeJoin:
       op = exec::MergeJoin(CompileNode(*n.children[0], tables, stats, opts),
                            n.left_key,
                            CompileNode(*n.children[1], tables, stats, opts),
-                           n.right_key, stats);
+                           n.right_key, stats, opts.batch_rows);
       break;
     case Kind::kHashJoin:
       op = exec::HashJoin(CompileNode(*n.children[0], tables, stats, opts),
                           n.left_key,
                           CompileNode(*n.children[1], tables, stats, opts),
-                          n.right_key, stats);
+                          n.right_key, stats, opts.batch_rows);
       break;
     case Kind::kExchange: {
       const PhysicalNode& tmpl = *n.children[0];
@@ -1364,62 +1353,6 @@ void ExplainNode(const PhysicalNode& n, int indent, std::string* out,
   for (const auto& c : n.children) ExplainNode(*c, indent + 1, out, ctx);
 }
 
-PlanPtr ToPlanNode(const PhysicalNode& n, const std::vector<TableRef>& tabs) {
-  switch (n.kind) {
-    case Kind::kScan:
-      return TableScan(tabs[n.table_index].table);
-    case Kind::kIndexScan:
-      return IndexScan(tabs[n.table_index].index, n.range);
-    case Kind::kPartitionedScan:
-      return PartitionedScan(tabs[n.table_index].partitions, n.range);
-    case Kind::kFilter: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : FilterNode(std::move(c), n.preds);
-    }
-    case Kind::kProject: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : ProjectNode(std::move(c), n.spec);
-    }
-    case Kind::kSort: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr : SortNode(std::move(c), n.spec);
-    }
-    case Kind::kStreamAgg: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr
-                          : StreamAggNode(std::move(c), n.group_cols, n.aggs);
-    }
-    case Kind::kHashAgg: {
-      auto c = ToPlanNode(*n.children[0], tabs);
-      return c == nullptr ? nullptr
-                          : HashAggNode(std::move(c), n.group_cols, n.aggs);
-    }
-    case Kind::kMergeJoin: {
-      auto l = ToPlanNode(*n.children[0], tabs);
-      auto r = ToPlanNode(*n.children[1], tabs);
-      if (l == nullptr || r == nullptr) return nullptr;
-      // Explicit Sort enforcers are part of the tree when needed, so the
-      // merge itself assumes sorted inputs.
-      return SortMergeJoinNode(std::move(l), n.left_key, std::move(r),
-                               n.right_key, /*assume_sorted=*/true);
-    }
-    case Kind::kHashJoin: {
-      auto l = ToPlanNode(*n.children[0], tabs);
-      auto r = ToPlanNode(*n.children[1], tabs);
-      if (l == nullptr || r == nullptr) return nullptr;
-      return HashJoinNode(std::move(l), n.left_key, std::move(r),
-                          n.right_key);
-    }
-    case Kind::kTopK:
-    case Kind::kLimit:
-    case Kind::kExchange:
-    case Kind::kParallelHashAgg:
-    case Kind::kCombinePartials:
-      return nullptr;  // no materializing counterpart
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 exec::OpPtr PhysicalPlan::Compile(ExecStats* stats) const {
@@ -1480,10 +1413,6 @@ std::string PhysicalPlan::ExplainAnalyze() const {
     for (const auto& p : proofs_) out += "  * " + p + "\n";
   }
   return out;
-}
-
-PlanPtr PhysicalPlan::ToMaterializingPlan() const {
-  return ToPlanNode(*root_, tables_);
 }
 
 PhysicalPlan PlanQuery(const LogicalQuery& q, const CostModel& cost,

@@ -16,7 +16,6 @@
 #include "exec/operator.h"
 #include "optimizer/exec_stats.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "theory/theory.h"
 
 namespace od {
@@ -73,9 +72,9 @@ struct PlanOptions {
   /// fragment's morsel behind an inner exchange of its own (each level
   /// still cost-gated, each recording its own merge proof).
   int max_exchange_depth = 1;
-  /// When >= 0, every Sort enforcer compiles to an ExternalSort that holds
-  /// at most this many rows in memory before spilling a sorted run to
-  /// disk. < 0 = in-memory sorts (the default).
+  /// Every Sort enforcer compiles to an ExternalSort; when >= 0 it holds at
+  /// most this many rows in memory before spilling a sorted run to disk.
+  /// < 0 = never spill: one in-memory run (the default).
   int64_t spill_budget_rows = -1;
   /// Directory for spilled runs (empty: the system temp dir).
   std::string spill_dir;
@@ -229,11 +228,6 @@ class PhysicalPlan {
   /// that never ran render their estimates only). The OD proofs behind
   /// every elided sort/join close the report, exactly as in Explain().
   std::string ExplainAnalyze() const;
-
-  /// Bridges to the materializing PlanNode tree (the pre-exec engine) for
-  /// apples-to-apples comparisons; nullptr when the plan uses an operator
-  /// with no materializing counterpart (Limit/TopK).
-  PlanPtr ToMaterializingPlan() const;
 
  private:
   friend PhysicalPlan PlanQuery(const LogicalQuery&, const CostModel&,

@@ -1,7 +1,8 @@
 // Streaming-operator contracts: batch boundaries, ordering-property
 // propagation, the StreamAggregate contiguity precondition, aggregate
 // output coalescing, NaN-bearing double keys (must agree with
-// od::CompareDoubles), and early exit.
+// od::CompareDoubles), early exit, and the hash aggregation / hash join
+// kernels against the independent engine::ops oracle.
 
 #include <gtest/gtest.h>
 
@@ -25,13 +26,18 @@ using engine::Predicate;
 using engine::Schema;
 using engine::Table;
 
-Table MakeKv(int64_t rows, int64_t key_mod) {
+// Rows (i % key_mod, i * 0.5); with `nan_every` > 0, every nan_every-th
+// measure is NaN instead.
+Table MakeKv(int64_t rows, int64_t key_mod, int64_t nan_every = 0) {
   Schema s;
   s.Add("k", DataType::kInt64);
   s.Add("v", DataType::kDouble);
   Table t(s);
   for (int64_t i = 0; i < rows; ++i) {
-    t.AppendRow({Value(i % key_mod), Value(static_cast<double>(i) * 0.5)});
+    const double v = nan_every > 0 && i % nan_every == 0
+                         ? std::numeric_limits<double>::quiet_NaN()
+                         : static_cast<double>(i) * 0.5;
+    t.AppendRow({Value(i % key_mod), Value(v)});
   }
   return t;
 }
@@ -326,7 +332,7 @@ TEST(SortTest, NanDoublesAgreeWithEngineSort) {
     t.AppendRow({Value(v)});
   }
   opt::ExecStats stats;
-  OpPtr sorted = Sort(Scan(&t, nullptr, 2), {0}, &stats);
+  OpPtr sorted = ExternalSort(Scan(&t, nullptr, 2), {0}, {}, &stats);
   Table out = Drain(sorted.get());
   Table reference = engine::SortBy(t, {0});
   EXPECT_TRUE(TablesEqualExactly(reference, out));
@@ -340,7 +346,7 @@ TEST(SortTest, NanDoublesAgreeWithEngineSort) {
 TEST(SortTest, AlreadySortedInputCountsAsElided) {
   Table t = engine::SortBy(MakeKv(500, 7), {0});
   opt::ExecStats stats;
-  OpPtr sorted = Sort(Scan(&t), {0}, &stats);
+  OpPtr sorted = ExternalSort(Scan(&t), {0}, {}, &stats);
   Table out = Drain(sorted.get());
   EXPECT_EQ(stats.sorts, 0);
   EXPECT_EQ(stats.sorts_elided, 1);
@@ -369,17 +375,129 @@ TEST(TopKTest, MatchesSortPlusLimit) {
   }
 }
 
+// The exec kernels are checked against engine::ops, an independent
+// implementation: at one stream and at four fragments, at batch sizes 1, 3
+// and the default.
+constexpr int64_t kKernelBatches[] = {1, 3, kDefaultBatchRows};
+constexpr int kKernelFragments = 4;
+
+// Drains `op`, asserting no batch exceeds `batch_rows`.
+Table DrainBounded(Operator* op, int64_t batch_rows) {
+  Table out(op->schema());
+  Batch b;
+  while (op->Next(&b)) {
+    EXPECT_LE(b.num_rows(), batch_rows);
+    for (int c = 0; c < out.num_columns(); ++c) {
+      out.col(c).AppendRange(b.col(c), 0, b.num_rows());
+    }
+    out.SetRowCount(out.num_rows() + b.num_rows());
+  }
+  return out;
+}
+
+std::vector<std::pair<int64_t, int64_t>> Morsels(int64_t rows, int n) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (int f = 0; f < n; ++f) {
+    out.emplace_back(rows * f / n, rows * (f + 1) / n);
+  }
+  return out;
+}
+
+void ExpectHashAggregateMatchesEngine(
+    const Table& t, const std::vector<engine::ColumnId>& groups,
+    const std::vector<AggSpec>& aggs) {
+  const Table reference = engine::HashGroupBy(t, groups, aggs);
+  common::ThreadPool pool(kKernelFragments);
+  const auto morsels = Morsels(t.num_rows(), kKernelFragments);
+  for (int64_t batch : kKernelBatches) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    OpPtr single =
+        HashAggregate(Scan(&t, nullptr, batch), groups, aggs, batch);
+    const Table streamed = DrainBounded(single.get(), batch);
+    EXPECT_TRUE(engine::SameRowMultiset(reference, streamed)) << "one stream";
+
+    opt::ExecStats stats;
+    OpPtr parallel = ParallelHashAggregate(
+        kKernelFragments,
+        [&](int f, opt::ExecStats* fs) {
+          return ScanRange(&t, morsels[f].first, morsels[f].second, fs,
+                           batch);
+        },
+        groups, aggs, &pool, &stats, batch);
+    const Table merged = DrainBounded(parallel.get(), batch);
+    EXPECT_TRUE(engine::SameRowMultiset(reference, merged))
+        << kKernelFragments << " fragments";
+    EXPECT_EQ(stats.fragments, kKernelFragments);
+  }
+}
+
 TEST(HashAggregateTest, MatchesEngineHashGroupBy) {
-  Table t = MakeKv(3000, 17);
-  const std::vector<AggSpec> aggs{{AggSpec::Kind::kSum, 1, "s"}};
-  OpPtr agg = HashAggregate(Scan(&t, nullptr, 100), {0}, aggs);
-  Table streamed = Drain(agg.get());
-  EXPECT_TRUE(
-      engine::SameRowMultiset(engine::HashGroupBy(t, {0}, aggs), streamed));
+  const Table t = MakeKv(3000, 17);
+  ExpectHashAggregateMatchesEngine(t, {0}, {{AggSpec::Kind::kSum, 1, "s"}});
+  // Count-only and avg (finished after the merge, never merged itself).
+  ExpectHashAggregateMatchesEngine(t, {0}, {{AggSpec::Kind::kCount, 0, "n"}});
+  ExpectHashAggregateMatchesEngine(t, {0}, {{AggSpec::Kind::kAvg, 1, "a"}});
+  // NaN measures: sum/avg turn NaN, min/max follow od::CompareDoubles (NaN
+  // after every value) — in every fragment and through the merge. Rows 0,
+  // 97, 194, ... are NaN, so some groups meet their first NaN in a later
+  // fragment than the one the merge starts from.
+  ExpectHashAggregateMatchesEngine(MakeKv(500, 7, /*nan_every=*/97), {0},
+                                   {{AggSpec::Kind::kSum, 1, "s"},
+                                    {AggSpec::Kind::kMin, 1, "lo"},
+                                    {AggSpec::Kind::kMax, 1, "hi"},
+                                    {AggSpec::Kind::kAvg, 1, "a"},
+                                    {AggSpec::Kind::kCount, 0, "n"}});
+  // Empty input: no groups at all (empty fragments included).
+  ExpectHashAggregateMatchesEngine(MakeKv(0, 1), {0},
+                                   {{AggSpec::Kind::kSum, 1, "s"},
+                                    {AggSpec::Kind::kCount, 0, "n"}});
+}
+
+void ExpectHashJoinMatchesEngine(const Table& fact, const Table& dim) {
+  const Table reference = engine::HashJoin(fact, 0, dim, 0);
+  const bool fact_sorted = engine::IsSortedBy(fact, {0});
+  common::ThreadPool pool(kKernelFragments);
+  const auto morsels = Morsels(fact.num_rows(), kKernelFragments);
+  for (int64_t batch : kKernelBatches) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    opt::ExecStats stats;
+    OpPtr j = HashJoin(Scan(&fact, nullptr, 64), 0, Scan(&dim), 0, &stats,
+                       batch);
+    if (fact_sorted) {
+      EXPECT_EQ(j->ordering(), engine::SortSpec({0}));  // probe order survives
+    }
+    const Table streamed = DrainBounded(j.get(), batch);
+    EXPECT_TRUE(engine::SameRowMultiset(reference, streamed)) << "one stream";
+    if (fact_sorted) {
+      EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
+    }
+    EXPECT_EQ(stats.joins, 1);
+    EXPECT_EQ(stats.rows_joined, reference.num_rows());
+
+    opt::ExecStats pstats;
+    auto table = BuildSharedHash(Scan(&dim), 0, &pstats);
+    OpPtr x = Exchange(
+        kKernelFragments,
+        [&](int f, opt::ExecStats* fs) {
+          return HashProbe(ScanRange(&fact, morsels[f].first,
+                                     morsels[f].second, fs, 64),
+                           0, table, fs, batch);
+        },
+        MergeMode::kUnion, {}, &pool, &pstats, batch);
+    const Table unioned = DrainBounded(x.get(), batch);
+    x.reset();
+    EXPECT_TRUE(engine::SameRowMultiset(reference, unioned))
+        << kKernelFragments << " fragments";
+    if (fact_sorted) {
+      EXPECT_TRUE(engine::IsSortedBy(unioned, {0}));
+    }
+    EXPECT_EQ(pstats.joins, 1);
+    EXPECT_EQ(pstats.fragments, kKernelFragments);
+  }
 }
 
 TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
-  Table fact = engine::SortBy(MakeKv(2000, 50), {0});
+  const Table fact = engine::SortBy(MakeKv(2000, 50), {0});
   Schema ds;
   ds.Add("k", DataType::kInt64);
   ds.Add("name", DataType::kString);
@@ -387,14 +505,22 @@ TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
   for (int64_t i = 0; i < 50; i += 2) {  // only even keys match
     dim.AppendRow({Value(i), Value("d" + std::to_string(i))});
   }
-  opt::ExecStats stats;
-  OpPtr j = HashJoin(Scan(&fact, nullptr, 64), 0, Scan(&dim), 0, &stats);
-  EXPECT_EQ(j->ordering(), engine::SortSpec({0}));  // probe order survives
-  Table streamed = Drain(j.get(), &stats);
-  Table reference = engine::HashJoin(fact, 0, dim, 0);
-  EXPECT_TRUE(engine::SameRowMultiset(reference, streamed));
-  EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
-  EXPECT_EQ(stats.joins, 1);
+  ExpectHashJoinMatchesEngine(fact, dim);
+  // Fan-out 10: every matching probe row overflows batches of 1 and 3 and
+  // must resume mid-row.
+  Table wide(ds);
+  for (int64_t i = 0; i < 50; i += 2) {
+    for (int copy = 0; copy < 10; ++copy) {
+      wide.AppendRow({Value(i), Value("d" + std::to_string(copy))});
+    }
+  }
+  ExpectHashJoinMatchesEngine(fact, wide);
+  // NaN measures ride through the probe untouched.
+  ExpectHashJoinMatchesEngine(
+      engine::SortBy(MakeKv(2000, 50, /*nan_every=*/7), {0}), dim);
+  // Empty probe side and empty build side.
+  ExpectHashJoinMatchesEngine(engine::SortBy(MakeKv(0, 1), {0}), dim);
+  ExpectHashJoinMatchesEngine(fact, Table(ds));
 }
 
 TEST(IndexRangeScanTest, MatchesIndexScanRange) {
@@ -429,7 +555,7 @@ TEST(OperatorContractTest, InvalidColumnIdsThrow) {
                std::out_of_range);
   EXPECT_THROW(Project(Scan(&t), {5}), std::out_of_range);
   EXPECT_THROW(StreamAggregate(Scan(&t), {9}, {}), std::out_of_range);
-  EXPECT_THROW(Sort(Scan(&t), {3}), std::out_of_range);
+  EXPECT_THROW(ExternalSort(Scan(&t), {3}, {}), std::out_of_range);
   EXPECT_THROW(MergeJoin(Scan(&t), 0, Scan(&t), -1), std::out_of_range);
   EXPECT_THROW(HashJoin(Scan(&t), 7, Scan(&t), 0), std::out_of_range);
   // HashJoin builds and probes through the unchecked int64 accessor; a
@@ -439,7 +565,7 @@ TEST(OperatorContractTest, InvalidColumnIdsThrow) {
 
 TEST(OperatorContractTest, DrainingTheSameTreeTwiceThrows) {
   Table t = MakeKv(100, 3);
-  OpPtr op = Sort(Scan(&t), {0});
+  OpPtr op = ExternalSort(Scan(&t), {0}, {});
   Drain(op.get());
   // Operators are single-use; a second drain would silently return empty
   // rows without the StartConsume guard.
@@ -450,14 +576,15 @@ TEST(OperatorContractTest, SinksRejectAlreadyConsumedChildren) {
   Table t = MakeKv(100, 3);
   OpPtr scan = Scan(&t);
   Drain(scan.get());
-  OpPtr sort = Sort(std::move(scan), {0});
+  OpPtr sort = ExternalSort(std::move(scan), {0}, {});
   Batch b;
   EXPECT_THROW(sort->Next(&b), std::logic_error);
 }
 
 TEST(CheckOrderTest, PassesAnHonestOrderingClaim) {
   Table t = MakeKv(5000, 7);
-  OpPtr op = CheckOrder(Sort(Scan(&t, nullptr, /*batch_rows=*/3), {0, 1}));
+  OpPtr op = CheckOrder(
+      ExternalSort(Scan(&t, nullptr, /*batch_rows=*/3), {0, 1}, {}));
   Table out = Drain(op.get());
   EXPECT_EQ(out.num_rows(), 5000);
   EXPECT_TRUE(engine::IsSortedBy(out, {0, 1}));

@@ -126,9 +126,8 @@ TEST_F(SpillTest, SpilledSortBitIdenticalToInMemory) {
   Table t = MakeMessy(10000);
   const SortSpec spec{0, 1};
 
-  opt::ExecStats mem_stats;
-  OpPtr mem = Sort(Scan(&t), spec, &mem_stats);
-  Table expect = Drain(mem.get(), &mem_stats);
+  // The independent oracle: the engine's stable in-memory sort.
+  const Table expect = engine::SortBy(t, spec);
 
   opt::ExecStats stats;
   {
@@ -223,9 +222,8 @@ TEST_F(SpillTest, ParallelRunPrepBitIdenticalToSerial) {
   Table t = MakeMessy(20000);
   const SortSpec spec{0, 1};
 
-  opt::ExecStats mem_stats;
-  OpPtr mem = Sort(Scan(&t), spec, &mem_stats);
-  Table expect = Drain(mem.get(), &mem_stats);
+  // The independent oracle: the engine's stable in-memory sort.
+  const Table expect = engine::SortBy(t, spec);
 
   common::ThreadPool pool(4);
   opt::ExecStats stats;

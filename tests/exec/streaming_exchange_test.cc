@@ -1,5 +1,6 @@
 // Exec-level tests of the streaming exchange: row-bounded queue residency
-// on inputs far larger than the queues, producers of small batches that
+// on inputs far larger than the queues (also behind a high fan-out hash
+// join), producers of small batches that
 // never park, deterministic fragment-ordered union, the ordered merge's
 // build-time proof obligation and runtime boundary check, failure
 // propagation out of producer tasks (with spill temp-file cleanup),
@@ -158,6 +159,58 @@ TEST_F(StreamingExchangeTest, PeakResidencyStaysBoundedOnLargeInput) {
   const Table got = Drain(op.get(), &stats);
   op.reset();
   EXPECT_EQ(got.num_rows(), kRows);
+  EXPECT_GT(stats.exchange_peak_rows, 0);
+  EXPECT_LE(stats.exchange_peak_rows,
+            kFrags * (kExchangeQueueBatches + 1) * kBatch);
+}
+
+TEST_F(StreamingExchangeTest, HighFanOutJoinStaysWithinTheRowBound) {
+  // A planned hash join in which every probe row matches ten build rows,
+  // at dop 4 with 64-row batches. The probe caps its output at batch_rows
+  // and resumes mid probe row, so fragment batches stay within batch_rows
+  // and the exchange keeps its bound of fragments ×
+  // (kExchangeQueueBatches + 1) × batch_rows resident rows. A probe that
+  // emitted a whole probe batch's matches at once would push 640-row
+  // batches into 256-row queues.
+  constexpr int kFrags = 4;
+  constexpr int64_t kBatch = 64;
+  constexpr int64_t kKeys = 100;
+  constexpr int kFanOut = 10;
+  Schema ps;
+  ps.Add("k", DataType::kInt64);
+  Table probe(ps);
+  for (int64_t i = 0; i < 20000; ++i) probe.AppendRow({Value(i % kKeys)});
+  Schema bs;
+  bs.Add("k", DataType::kInt64);
+  bs.Add("copy", DataType::kInt64);
+  Table build(bs);
+  for (int64_t k = 0; k < kKeys; ++k) {
+    for (int64_t c = 0; c < kFanOut; ++c) build.AppendRow({Value(k), Value(c)});
+  }
+  opt::LogicalQuery q;
+  q.name = "fan_out_join";
+  q.tables.push_back(
+      opt::TableRef{"probe", &probe, nullptr, nullptr, nullptr, nullptr, -1});
+  q.tables.push_back(
+      opt::TableRef{"build", &build, nullptr, nullptr, nullptr, nullptr, -1});
+  q.joins.push_back(opt::JoinClause{1, 0, 0});
+  q.filters.resize(2);
+  opt::CostModel cm;
+  cm.fragment_startup = 0.0;
+  opt::PlanOptions opts;
+  opts.dop = kFrags;
+  opts.pool = pool_.get();
+  opts.batch_rows = kBatch;
+  const opt::PhysicalPlan plan = opt::PlanQuery(q, cm, opts);
+  ASSERT_NE(plan.Explain().find("Exchange"), std::string::npos)
+      << plan.Explain();
+  ASSERT_NE(plan.Explain().find("HashJoin"), std::string::npos)
+      << plan.Explain();
+  opt::ExecStats stats;
+  const Table got = plan.Execute(&stats);
+  EXPECT_TRUE(engine::SameRowMultiset(engine::HashJoin(probe, 0, build, 0),
+                                      got));
+  EXPECT_GE(stats.fragments, kFrags) << plan.Explain();
   EXPECT_GT(stats.exchange_peak_rows, 0);
   EXPECT_LE(stats.exchange_peak_rows,
             kFrags * (kExchangeQueueBatches + 1) * kBatch);

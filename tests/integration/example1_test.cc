@@ -5,7 +5,7 @@
 //   GROUP BY d_year, d_quarter, d_moy
 //   ORDER BY d_year, d_quarter, d_moy
 //
-// Baseline plan: join, hash group-by, explicit sort on the three columns.
+// Baseline: join, hash group-by, explicit sort on the three columns.
 // OD plan: with [d_moy] ↦ [d_quarter] the optimizer reduces both the
 // group-by and the order-by to [d_year, d_moy]; an index on
 // (d_year, d_moy)-ordered data provides the stream, stream aggregation
@@ -15,8 +15,8 @@
 
 #include "engine/index.h"
 #include "engine/ops.h"
+#include "exec/operator.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "optimizer/reduce_order.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/star_schema.h"
@@ -72,13 +72,12 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   const std::vector<AggSpec> aggs{{AggSpec::Kind::kSum, net_, "sum_net"}};
   const std::vector<ColumnId> full_groups{year_, quarter_, moy_};
 
-  // Baseline: hash agg + sort enforcer on year, quarter, moy.
-  opt::ExecStats base_stats;
-  opt::PlanPtr baseline = opt::SortNode(
-      opt::HashAggNode(opt::TableScan(&joined_), full_groups, aggs),
-      {0, 1, 2});  // agg output: year, quarter, moy, sum
-  Table base_result = baseline->Execute(&base_stats);
-  EXPECT_EQ(base_stats.sorts, 1);
+  // Baseline: the engine's hash aggregate + sort on year, quarter, moy.
+  bool was_sorted = true;
+  Table base_result = engine::SortBy(
+      engine::HashGroupBy(joined_, full_groups, aggs), {0, 1, 2},
+      &was_sorted);  // agg output: year, quarter, moy, sum
+  EXPECT_FALSE(was_sorted);  // the baseline really paid the sort
 
   // OD plan: the index stream (year, moy) provides the order; quarter is
   // eliminated from both clauses; stream aggregation exploits the order.
@@ -87,9 +86,10 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   ASSERT_TRUE(reasoner.GroupsContiguousUnder({year_, moy_}, full_groups));
   engine::OrderedIndex index(&joined_, {year_, moy_});
   opt::ExecStats od_stats;
-  opt::PlanPtr od_plan =
-      opt::StreamAggNode(opt::IndexScan(&index), full_groups, aggs);
-  Table od_result = od_plan->Execute(&od_stats);
+  exec::OpPtr od_plan = exec::StreamAggregate(
+      exec::IndexRangeScan(&index, std::nullopt, &od_stats), full_groups,
+      aggs);
+  Table od_result = exec::Drain(od_plan.get(), &od_stats);
   EXPECT_EQ(od_stats.sorts, 0);  // no sort operator anywhere
 
   // Same groups and aggregates.
