@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -309,6 +310,13 @@ class Planner {
 
     std::vector<std::string> elision_proofs;
     for (const auto& r : ranges) elision_proofs.push_back(r.proof);
+    // The first elided range an access path keyed on `col` can cover.
+    auto covering = [&](ColumnId col) {
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        if (ranges[i].col == col) return static_cast<int>(i);
+      }
+      return -1;
+    };
 
     // Plain scan: covers nothing.
     {
@@ -322,13 +330,7 @@ class Planner {
     }
     // Index scan: ordered; covers a range on the index's leading key.
     if (t.index != nullptr && !t.index->key().empty()) {
-      int covered = -1;
-      for (size_t i = 0; i < ranges.size(); ++i) {
-        if (ranges[i].col == t.index->key().front()) {
-          covered = static_cast<int>(i);
-          break;
-        }
-      }
+      const int covered = covering(t.index->key().front());
       auto s = std::make_unique<PhysicalNode>();
       s->kind = Kind::kIndexScan;
       s->table_index = 0;
@@ -346,13 +348,7 @@ class Planner {
     }
     // Partitioned scan: covers a range on the partition column by pruning.
     if (t.partitions != nullptr && t.partitions->num_partitions() > 0) {
-      int covered = -1;
-      for (size_t i = 0; i < ranges.size(); ++i) {
-        if (ranges[i].col == t.partitions->partition_column()) {
-          covered = static_cast<int>(i);
-          break;
-        }
-      }
+      const int covered = covering(t.partitions->partition_column());
       auto s = std::make_unique<PhysicalNode>();
       s->kind = Kind::kPartitionedScan;
       s->table_index = 0;
@@ -440,6 +436,12 @@ class Planner {
                           SpecString(spec_table_ids));
       return;
     }
+    AddSort(c, spec_exec, spec_table_ids);
+  }
+
+  /// Puts a Sort enforcer for `spec_exec` on top of `c`; `spec_fact` is
+  /// the same order in the id space `c->ordering_fact` is stated in.
+  void AddSort(Cand* c, const SortSpec& spec_exec, const SortSpec& spec_fact) {
     auto s = std::make_unique<PhysicalNode>();
     s->kind = Kind::kSort;
     s->spec = spec_exec;
@@ -449,7 +451,7 @@ class Planner {
     s->children.push_back(std::move(c->node));
     c->node = std::move(s);
     c->ordering = spec_exec;
-    c->ordering_fact = spec_table_ids;
+    c->ordering_fact = spec_fact;
   }
 
   /// Joins `dim` onto `c` with the given algorithm; returns the extended
@@ -469,33 +471,22 @@ class Planner {
     out.sorts_elided += d.sorts_elided;
     out.joins_elided += d.joins_elided;
     for (auto& p : d.proofs) out.proofs.push_back(p);
-    if (merge) {
-      auto n = std::make_unique<PhysicalNode>();
-      n->kind = Kind::kMergeJoin;
-      n->left_key = j.clause.left_col;
-      n->right_key = j.clause.right_col;
-      n->est_rows = out_rows;
-      n->est_cost = out.node->est_cost + d.node->est_cost +
-                    (c.rows + d.rows) * cm_.merge_row +
-                    out_rows * cm_.output_row;
-      n->out_ordering = out.ordering;
-      n->children.push_back(std::move(out.node));
-      n->children.push_back(std::move(d.node));
-      out.node = std::move(n);
-    } else {
-      auto n = std::make_unique<PhysicalNode>();
-      n->kind = Kind::kHashJoin;
-      n->left_key = j.clause.left_col;
-      n->right_key = j.clause.right_col;
-      n->est_rows = out_rows;
-      n->est_cost = out.node->est_cost + d.node->est_cost +
-                    d.rows * cm_.hash_build_row + c.rows * cm_.hash_probe_row +
-                    out_rows * cm_.output_row;
-      n->out_ordering = out.ordering;  // probe preserves left order
-      n->children.push_back(std::move(out.node));
-      n->children.push_back(std::move(d.node));
-      out.node = std::move(n);
-    }
+    auto n = std::make_unique<PhysicalNode>();
+    n->kind = merge ? Kind::kMergeJoin : Kind::kHashJoin;
+    n->left_key = j.clause.left_col;
+    n->right_key = j.clause.right_col;
+    n->est_rows = out_rows;
+    n->est_cost = merge ? out.node->est_cost + d.node->est_cost +
+                              (c.rows + d.rows) * cm_.merge_row +
+                              out_rows * cm_.output_row
+                        : out.node->est_cost + d.node->est_cost +
+                              d.rows * cm_.hash_build_row +
+                              c.rows * cm_.hash_probe_row +
+                              out_rows * cm_.output_row;
+    n->out_ordering = out.ordering;  // both joins stream in left order
+    n->children.push_back(std::move(out.node));
+    n->children.push_back(std::move(d.node));
+    out.node = std::move(n);
     out.rows = out_rows;
     return out;
   }
@@ -560,16 +551,7 @@ class Planner {
       // Sort-then-stream: the enforcer buys contiguity.
       Cand base = c.CloneCand();
       SortSpec gspec(q_.group_cols.begin(), q_.group_cols.end());
-      auto s = std::make_unique<PhysicalNode>();
-      s->kind = Kind::kSort;
-      s->spec = gspec;
-      s->est_rows = base.rows;
-      s->est_cost = base.node->est_cost + cm_.SortCost(base.rows);
-      s->out_ordering = gspec;
-      s->children.push_back(std::move(base.node));
-      base.node = std::move(s);
-      base.ordering = gspec;
-      base.ordering_fact = gspec;
+      AddSort(&base, gspec, gspec);
       SortSpec out_ordering;
       for (size_t i = 0; i < q_.group_cols.size(); ++i) {
         out_ordering.push_back(static_cast<ColumnId>(i));
@@ -633,16 +615,7 @@ class Planner {
       out->push_back(std::move(topk));
     }
     // Full sort (+ limit).
-    auto s = std::make_unique<PhysicalNode>();
-    s->kind = Kind::kSort;
-    s->spec = required_exec;
-    s->est_rows = c.rows;
-    s->est_cost = c.node->est_cost + cm_.SortCost(c.rows);
-    s->out_ordering = required_exec;
-    s->children.push_back(std::move(c.node));
-    c.node = std::move(s);
-    c.ordering = required_exec;
-    c.ordering_fact = q_.order_by;
+    AddSort(&c, required_exec, q_.order_by);
     if (has_limit) AddLimit(&c);
     out->push_back(std::move(c));
   }
@@ -723,35 +696,40 @@ class Planner {
 // driving chain, sort inputs, merge-join right sides, hash-join build
 // sides — may be cut into row-range morsels behind its own cost-gated
 // exchange, choosing each recombination by what that chain can *prove* —
-// an order-preserving merge when it carries an ordering property
+// an order-preserving recombination when it carries an ordering property
 // (parallelism must never reintroduce a sort the OD reasoning elided), a
 // fragment-ordered union otherwise. Producers are scheduler tasks, so
-// multiple (and, past depth 1, nested) exchanges per plan compose without
-// reserving threads per region.
+// multiple exchanges per plan compose without reserving threads per
+// region. Regions are flat: a fragment template never holds an exchange.
 
-/// A chain a worker can run privately over its morsel: scans at the leaf,
+/// Kinds a worker can run privately over its morsel: scans at the leaf,
 /// filters/projections, and hash-join *probes* (the build side is shared
 /// read-only). Everything else needs the whole stream.
-bool IsChainSafe(const PhysicalNode& n) {
-  switch (n.kind) {
+bool IsChainKind(Kind k) {
+  switch (k) {
     case Kind::kScan:
     case Kind::kIndexScan:
     case Kind::kPartitionedScan:
-      return true;
     case Kind::kFilter:
     case Kind::kProject:
     case Kind::kHashJoin:
-      return IsChainSafe(*n.children[0]);
+      return true;
     default:
       return false;
   }
 }
 
-/// Wraps `chain` in an exchange of `dop` fragments; picks merge vs union
-/// from the chain's ordering property and records the proof.
+/// A chain of chain kinds down the driving spine (children[0]).
+bool IsChainSafe(const PhysicalNode& n) {
+  return IsChainKind(n.kind) &&
+         (n.children.empty() || IsChainSafe(*n.children[0]));
+}
+
+/// Wraps `chain` in an exchange of `dop` fragments; picks ordered vs union
+/// recombination from the chain's ordering property. The caller records
+/// the proof (RecordExchangeProof) only once its cost gate accepts.
 std::unique_ptr<PhysicalNode> MakeExchange(
-    std::unique_ptr<PhysicalNode> chain, int dop, const CostModel& cm,
-    std::vector<std::string>* proofs) {
+    std::unique_ptr<PhysicalNode> chain, int dop, const CostModel& cm) {
   auto x = std::make_unique<PhysicalNode>();
   x->kind = Kind::kExchange;
   x->dop = dop;
@@ -761,20 +739,25 @@ std::unique_ptr<PhysicalNode> MakeExchange(
   x->est_cost = chain->est_cost / dop + dop * cm.fragment_startup +
                 chain->est_rows * cm.exchange_row;
   x->out_ordering = chain->out_ordering;
-  if (x->ordered_merge) {
-    x->note = "order-preserving merge on " + SpecString(x->spec) +
-              " (OD-proven: contiguous morsels inherit the order)";
-    proofs->push_back(
-        "parallel exchange (dop=" + std::to_string(dop) +
-        "): each row-range morsel inherits proven order " +
-        SpecString(x->spec) +
-        "; k-way merge with fragment tiebreak reproduces the serial "
-        "stream — no sort reintroduced");
-  } else {
-    x->note = "union (no ordering property to preserve)";
-  }
+  x->note = x->ordered_merge
+                ? "order-preserving merge on " + SpecString(x->spec) +
+                      " (OD-proven: contiguous morsels inherit the order)"
+                : "union (no ordering property to preserve)";
   x->children.push_back(std::move(chain));
   return x;
+}
+
+/// The OD argument behind an accepted ordered exchange.
+void RecordExchangeProof(const PhysicalNode& x,
+                         std::vector<std::string>* proofs) {
+  if (!x.ordered_merge) return;
+  proofs->push_back(
+      "parallel exchange (dop=" + std::to_string(x.dop) +
+      "): each row-range morsel inherits proven order " +
+      SpecString(x.spec) +
+      "; fragments are emitted in fragment order, each boundary checked "
+      "against it at run time, which reproduces the serial stream — no "
+      "sort reintroduced");
 }
 
 bool AggsDecomposable(const std::vector<engine::AggSpec>& aggs) {
@@ -785,36 +768,28 @@ bool AggsDecomposable(const std::vector<engine::AggSpec>& aggs) {
 }
 
 /// Puts the chain in `slot` behind an exchange if the cost gate accepts;
-/// restores it (and retracts the pushed proof) otherwise.
+/// leaves it untouched otherwise.
 bool TryExchangeChain(std::unique_ptr<PhysicalNode>* slot, int dop,
                       const CostModel& cm,
                       std::vector<std::string>* proofs) {
   const double serial = (*slot)->est_cost;
-  auto x = MakeExchange(std::move(*slot), dop, cm, proofs);
+  auto x = MakeExchange(std::move(*slot), dop, cm);
   if (x->est_cost >= serial) {
     // Not worth the exchange overhead: put the chain back.
     *slot = std::move(x->children[0]);
-    if (x->ordered_merge && !proofs->empty()) proofs->pop_back();
     return false;
   }
+  RecordExchangeProof(*x, proofs);
   *slot = std::move(x);
   return true;
 }
 
-bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
-                     const CostModel& cm, std::vector<std::string>* proofs,
-                     int depth_budget);
-
 /// Walks every node of the tree and applies each profitable parallel
 /// rewrite it finds — several exchanges per plan when several regions pay
 /// for themselves, each individually cost-gated and each recording its own
-/// merge proof. `depth_budget` >= 2 additionally nests an inner exchange
-/// inside the partial-aggregation fragment template (the scheduler runs
-/// producers as stealable tasks, so nested regions cannot starve). Returns
-/// whether the tree changed.
+/// proof. Returns whether the tree changed.
 bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
-                     const CostModel& cm, std::vector<std::string>* proofs,
-                     int depth_budget) {
+                     const CostModel& cm, std::vector<std::string>* proofs) {
   PhysicalNode* n = slot->get();
   if (IsChainSafe(*n)) {
     bool changed = TryExchangeChain(slot, dop, cm, proofs);
@@ -827,8 +802,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
     if (walk->kind == Kind::kExchange) walk = walk->children[0].get();
     for (; !walk->children.empty(); walk = walk->children[0].get()) {
       if (walk->kind == Kind::kHashJoin) {
-        changed |= ParallelizeNode(&walk->children[1], dop, cm, proofs,
-                                   depth_budget);
+        changed |= ParallelizeNode(&walk->children[1], dop, cm, proofs);
       }
     }
     return changed;
@@ -840,8 +814,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
       return false;  // already parallel
     case Kind::kHashAgg: {
       if (!IsChainSafe(*n->children[0])) {
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       const double chain_cost = n->children[0]->est_cost;
       const double agg_work = n->est_cost - chain_cost;
@@ -851,8 +824,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
       if (par >= n->est_cost) {
         // The parallel aggregate doesn't pay; the chain below might still
         // (a serial hash build over a union-exchanged chain is valid).
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       n->kind = Kind::kParallelHashAgg;
       n->dop = dop;
@@ -864,8 +836,7 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
     case Kind::kStreamAgg: {
       PhysicalNode* chain = n->children[0].get();
       if (!IsChainSafe(*chain)) {
-        return ParallelizeNode(&n->children[0], dop, cm, proofs,
-                               depth_budget);
+        return ParallelizeNode(&n->children[0], dop, cm, proofs);
       }
       if (chain->out_ordering.empty()) {
         // An ordered merge has nothing to merge on, and without the order
@@ -889,47 +860,33 @@ bool ParallelizeNode(std::unique_ptr<PhysicalNode>* slot, int dop,
         combine->est_rows = n->est_rows;
         combine->out_ordering = n->out_ordering;
         combine->note = "folds morsel-boundary partial groups";
-        auto x = MakeExchange(std::move(*slot), dop, cm, proofs);
+        auto x = MakeExchange(std::move(*slot), dop, cm);
         x->est_rows = partials;
         combine->est_cost =
             x->est_cost + partials * cm.stream_agg_row;
         if (combine->est_cost >= serial) {
           *slot = std::move(x->children[0]);
-          if (x->ordered_merge && !proofs->empty()) proofs->pop_back();
           // The partial-agg rewrite doesn't pay; an exchange below the
           // serial aggregate might (its ordered merge restores the exact
           // serial stream, so contiguity holds above it).
-          return ParallelizeNode(&slot->get()->children[0], dop, cm, proofs,
-                                 depth_budget);
+          return ParallelizeNode(&slot->get()->children[0], dop, cm, proofs);
         }
+        RecordExchangeProof(*x, proofs);
         combine->children.push_back(std::move(x));
         *slot = std::move(combine);
-        if (depth_budget >= 2) {
-          // Nest: subdivide each fragment's morsel behind an inner
-          // exchange inside the template — same cost gate, own proof. The
-          // inner merge is ordered (the chain carries the order property
-          // checked above), so each fragment's StreamAggregate still sees
-          // its sub-stream in proven order.
-          PhysicalNode* outer = slot->get()->children[0].get();
-          PhysicalNode* agg = outer->children[0].get();
-          if (TryExchangeChain(&agg->children[0], dop, cm, proofs)) {
-            agg->children[0]->note +=
-                " (nested: subdivides each outer fragment's morsel)";
-          }
-        }
         return true;
       }
       // Non-decomposable (avg) or partial group order: parallelize the
       // chain below instead — the ordered merge restores the exact serial
       // stream, so the contiguity proof still holds above it.
-      return ParallelizeNode(&n->children[0], dop, cm, proofs, depth_budget);
+      return ParallelizeNode(&n->children[0], dop, cm, proofs);
     }
     default: {
       // Recurse into every child: sort inputs, limit/top-k inputs, and
       // both sides of joins can each host their own exchange.
       bool changed = false;
       for (auto& child : n->children) {
-        changed |= ParallelizeNode(&child, dop, cm, proofs, depth_budget);
+        changed |= ParallelizeNode(&child, dop, cm, proofs);
       }
       return changed;
     }
@@ -973,21 +930,28 @@ class CountingOp : public exec::Operator {
   const PhysicalNode* node_;
 };
 
+/// The pre-built hash tables a fragment template's probes read, keyed by
+/// their kHashJoin node.
+using SharedTables =
+    std::unordered_map<const PhysicalNode*,
+                       std::shared_ptr<const exec::SharedHashTable>>;
+
+/// What makes a compile one worker's copy of a fragment template: the
+/// morsel its driving scan reads (row/position/partition range) and the
+/// shared tables its hash joins probe.
+struct Fragment {
+  std::pair<int64_t, int64_t> morsel;
+  const SharedTables* shared = nullptr;
+};
+
 exec::OpPtr CompileNode(const PhysicalNode& n,
                         const std::vector<TableRef>& tables,
-                        ExecStats* stats, const PlanOptions& opts);
+                        ExecStats* stats, const PlanOptions& opts,
+                        const Fragment* frag = nullptr);
 
 /// The driving scan at the bottom of a fragment template.
 const PhysicalNode& ChainLeaf(const PhysicalNode& n) {
   return n.children.empty() ? n : ChainLeaf(*n.children[0]);
-}
-
-/// Hash joins on the template's driving spine — how many shared-table
-/// slots a fragment compiled from it consumes (BuildSharedTables pushes
-/// them in the same pre-order).
-int CountChainJoins(const PhysicalNode& n) {
-  const int self = n.kind == Kind::kHashJoin ? 1 : 0;
-  return n.children.empty() ? self : self + CountChainJoins(*n.children[0]);
 }
 
 /// Splits [0, total) into `dop` contiguous near-equal ranges. Fragments
@@ -1036,125 +1000,91 @@ std::vector<std::pair<int64_t, int64_t>> MorselRanges(
   }
 }
 
-/// Compiles one worker's copy of a fragment template: the driving scan is
-/// replaced by its morsel (row/position/partition range), hash joins probe
-/// the pre-built shared table, and `stats` is the fragment's *private*
-/// ExecStats. No CountingOp wrappers — actual_rows would be written from
-/// every worker at once; the exchange node above is counted instead.
-exec::OpPtr CompileFragment(
-    const PhysicalNode& n, const std::vector<TableRef>& tables,
-    ExecStats* stats, const PlanOptions& opts,
-    std::pair<int64_t, int64_t> morsel,
-    const std::vector<std::shared_ptr<const exec::SharedHashTable>>& shared,
-    size_t* shared_idx) {
-  switch (n.kind) {
-    case Kind::kScan:
-      return exec::ScanRange(tables[n.table_index].table, morsel.first,
-                             morsel.second, stats, opts.batch_rows);
-    case Kind::kIndexScan:
-      return exec::IndexPositionScan(tables[n.table_index].index,
-                                     morsel.first, morsel.second, stats,
-                                     opts.batch_rows);
-    case Kind::kPartitionedScan:
-      return exec::PartitionedScan(tables[n.table_index].partitions, n.range,
-                                   stats, opts.batch_rows,
-                                   static_cast<int>(morsel.first),
-                                   static_cast<int>(morsel.second));
-    case Kind::kFilter:
-      return exec::Filter(CompileFragment(*n.children[0], tables, stats,
-                                          opts, morsel, shared, shared_idx),
-                          n.preds);
-    case Kind::kProject:
-      return exec::Project(CompileFragment(*n.children[0], tables, stats,
-                                           opts, morsel, shared, shared_idx),
-                           n.spec);
-    case Kind::kHashJoin: {
-      auto table = shared[(*shared_idx)++];
-      auto probe = CompileFragment(*n.children[0], tables, stats, opts,
-                                   morsel, shared, shared_idx);
-      return exec::HashProbe(std::move(probe), n.left_key, std::move(table),
-                             stats, opts.batch_rows);
-    }
-    case Kind::kStreamAgg:
-      return exec::StreamAggregate(
-          CompileFragment(*n.children[0], tables, stats, opts, morsel,
-                          shared, shared_idx),
-          n.group_cols, n.aggs, opts.batch_rows);
-    case Kind::kExchange: {
-      // A nested exchange: subdivide this fragment's morsel again and
-      // stream the inner chain behind its own exchange. Producers are
-      // plain scheduler tasks, so the regions compose without reserving
-      // threads. The inner factory runs from inner producer tasks after
-      // this frame is gone: it owns its sub-ranges and shared-table
-      // handles, and points only at plan-owned state (template, tables,
-      // options) plus the outer factory's shared vector via its own copy.
-      const PhysicalNode& tmpl = *n.children[0];
-      auto sub = SplitRange(morsel.second - morsel.first, n.dop);
-      for (auto& r : sub) {
-        r.first += morsel.first;
-        r.second += morsel.first;
-      }
-      const size_t base = *shared_idx;
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, base, sub = std::move(sub),
-           shared](int f, ExecStats* fs) {
-            size_t idx = base;
-            return CompileFragment(tmpl, tables, fs, opts, sub[f], shared,
-                                   &idx);
-          };
-      // Skip the joins the inner fragments consume, so a (hypothetical)
-      // consumer past this node keeps the pre-order numbering.
-      *shared_idx = base + CountChainJoins(tmpl);
-      return exec::Exchange(n.dop, std::move(factory),
-                            n.ordered_merge ? exec::MergeMode::kOrderedMerge
-                                            : exec::MergeMode::kUnion,
-                            n.spec, opts.pool, stats, opts.batch_rows);
-    }
-    default:
-      throw std::logic_error("CompileFragment: node is not fragment-safe");
-  }
-}
-
-/// Pre-builds the shared hash tables of every kHashJoin on the template's
-/// driving chain, in the same pre-order CompileFragment consumes them.
-/// Build sides run once, single-threaded, against the main `stats`.
-void BuildSharedTables(
-    const PhysicalNode& n, const std::vector<TableRef>& tables,
-    ExecStats* stats, const PlanOptions& opts,
-    std::vector<std::shared_ptr<const exec::SharedHashTable>>* out) {
+/// Pre-builds the shared hash table of every kHashJoin on the template's
+/// driving chain. Build sides run once, single-threaded, against the main
+/// `stats`.
+void BuildSharedTables(const PhysicalNode& n,
+                       const std::vector<TableRef>& tables, ExecStats* stats,
+                       const PlanOptions& opts, SharedTables* out) {
   if (n.kind == Kind::kHashJoin) {
-    out->push_back(exec::BuildSharedHash(
+    (*out)[&n] = exec::BuildSharedHash(
         CompileNode(*n.children[1], tables, stats, opts), n.right_key,
-        stats));
+        stats);
   }
   if (!n.children.empty()) {
     BuildSharedTables(*n.children[0], tables, stats, opts, out);
   }
 }
 
+/// The fragment factory of a parallel region (kExchange or
+/// kParallelHashAgg) over template `tmpl`: shared tables built now, one
+/// morsel per fragment. Fragments build lazily inside producer tasks, long
+/// after this frame is gone: the factory owns the morsel ranges and
+/// shared-table handles outright, and refers only to plan-owned state
+/// (template node, tables, options), which outlives the compiled tree.
+exec::FragmentFactory MakeFragmentFactory(
+    const PhysicalNode& tmpl, int dop, const std::vector<TableRef>& tables,
+    ExecStats* stats, const PlanOptions& opts) {
+  SharedTables shared;
+  BuildSharedTables(tmpl, tables, stats, opts, &shared);
+  return [&tmpl, &tables, &opts, ranges = MorselRanges(tmpl, tables, dop),
+          shared = std::move(shared)](int f, ExecStats* fs) {
+    const Fragment frag{ranges[f], &shared};
+    return CompileNode(tmpl, tables, fs, opts, &frag);
+  };
+}
+
+/// Compiles `n` into a fresh operator tree. With `frag`, `n` is a fragment
+/// template compiled for one worker: the driving scan reads only the
+/// morsel, hash joins probe the pre-built shared table, and `stats` is the
+/// fragment's *private* ExecStats. Fragment operators get no CountingOp
+/// wrappers — actual_rows would be written from every worker at once; the
+/// parallel node above is counted instead.
 exec::OpPtr CompileNode(const PhysicalNode& n,
                         const std::vector<TableRef>& tables,
-                        ExecStats* stats, const PlanOptions& opts) {
+                        ExecStats* stats, const PlanOptions& opts,
+                        const Fragment* frag) {
+  // A fragment runs a chain over its morsel, optionally capped by a
+  // per-fragment partial stream aggregate; nothing else.
+  if (frag != nullptr && n.kind != Kind::kStreamAgg && !IsChainKind(n.kind)) {
+    throw std::logic_error("CompileNode: node is not fragment-safe");
+  }
+  auto child = [&](int i) {
+    return CompileNode(*n.children[i], tables, stats, opts, frag);
+  };
   exec::OpPtr op;
   switch (n.kind) {
     case Kind::kScan:
-      op = exec::Scan(tables[n.table_index].table, stats, opts.batch_rows);
+      op = frag != nullptr
+               ? exec::ScanRange(tables[n.table_index].table,
+                                 frag->morsel.first, frag->morsel.second,
+                                 stats, opts.batch_rows)
+               : exec::Scan(tables[n.table_index].table, stats,
+                            opts.batch_rows);
       break;
     case Kind::kIndexScan:
-      op = exec::IndexRangeScan(tables[n.table_index].index, n.range, stats,
-                                opts.batch_rows);
+      op = frag != nullptr
+               ? exec::IndexPositionScan(tables[n.table_index].index,
+                                         frag->morsel.first,
+                                         frag->morsel.second, stats,
+                                         opts.batch_rows)
+               : exec::IndexRangeScan(tables[n.table_index].index, n.range,
+                                      stats, opts.batch_rows);
       break;
     case Kind::kPartitionedScan:
-      op = exec::PartitionedScan(tables[n.table_index].partitions, n.range,
-                                 stats, opts.batch_rows);
+      op = frag != nullptr
+               ? exec::PartitionedScan(
+                     tables[n.table_index].partitions, n.range, stats,
+                     opts.batch_rows, static_cast<int>(frag->morsel.first),
+                     static_cast<int>(frag->morsel.second))
+               : exec::PartitionedScan(tables[n.table_index].partitions,
+                                       n.range, stats, opts.batch_rows);
       break;
     case Kind::kFilter:
-      op = exec::Filter(CompileNode(*n.children[0], tables, stats, opts),
-                        n.preds);
+      op = exec::Filter(child(0), n.preds);
       break;
     case Kind::kProject:
-      op = exec::Project(CompileNode(*n.children[0], tables, stats, opts),
-                         n.spec);
+      op = exec::Project(child(0), n.spec);
       break;
     case Kind::kSort: {
       // The one sort path: a budget < 0 keeps the whole input as one
@@ -1163,89 +1093,58 @@ exec::OpPtr CompileNode(const PhysicalNode& n,
       so.memory_budget_rows = opts.spill_budget_rows;
       so.temp_dir = opts.spill_dir;
       so.pool = opts.pool;
-      op = exec::ExternalSort(CompileNode(*n.children[0], tables, stats, opts),
-                              n.spec, so, stats, opts.batch_rows);
+      op = exec::ExternalSort(child(0), n.spec, so, stats, opts.batch_rows);
       break;
     }
     case Kind::kTopK:
-      op = exec::TopK(CompileNode(*n.children[0], tables, stats, opts),
-                      n.spec, n.limit, stats, opts.batch_rows);
+      op = exec::TopK(child(0), n.spec, n.limit, stats, opts.batch_rows);
       break;
     case Kind::kLimit:
-      op = exec::Limit(CompileNode(*n.children[0], tables, stats, opts),
-                       n.limit);
+      op = exec::Limit(child(0), n.limit);
       break;
     case Kind::kStreamAgg:
-      op = exec::StreamAggregate(
-          CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs, opts.batch_rows);
+      op = exec::StreamAggregate(child(0), n.group_cols, n.aggs,
+                                 opts.batch_rows);
       break;
     case Kind::kHashAgg:
-      op = exec::HashAggregate(
-          CompileNode(*n.children[0], tables, stats, opts), n.group_cols,
-          n.aggs, opts.batch_rows);
+      op = exec::HashAggregate(child(0), n.group_cols, n.aggs,
+                               opts.batch_rows);
       break;
     case Kind::kMergeJoin:
-      op = exec::MergeJoin(CompileNode(*n.children[0], tables, stats, opts),
-                           n.left_key,
-                           CompileNode(*n.children[1], tables, stats, opts),
-                           n.right_key, stats, opts.batch_rows);
+      op = exec::MergeJoin(child(0), n.left_key, child(1), n.right_key, stats,
+                           opts.batch_rows);
       break;
     case Kind::kHashJoin:
-      op = exec::HashJoin(CompileNode(*n.children[0], tables, stats, opts),
-                          n.left_key,
-                          CompileNode(*n.children[1], tables, stats, opts),
-                          n.right_key, stats, opts.batch_rows);
+      op = frag != nullptr
+               ? exec::HashProbe(child(0), n.left_key, frag->shared->at(&n),
+                                 stats, opts.batch_rows)
+               : exec::HashJoin(child(0), n.left_key, child(1), n.right_key,
+                                stats, opts.batch_rows);
       break;
-    case Kind::kExchange: {
-      const PhysicalNode& tmpl = *n.children[0];
-      std::vector<std::shared_ptr<const exec::SharedHashTable>> shared;
-      BuildSharedTables(tmpl, tables, stats, opts, &shared);
-      auto ranges = MorselRanges(tmpl, tables, n.dop);
-      // Fragments build lazily inside producer tasks, long after this
-      // frame is gone: the factory owns the morsel ranges and shared-table
-      // handles outright, and refers only to plan-owned state (template
-      // node, tables, options), which outlives the compiled tree.
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, ranges = std::move(ranges),
-           shared = std::move(shared)](int f, ExecStats* fs) {
-            size_t idx = 0;
-            return CompileFragment(tmpl, tables, fs, opts, ranges[f],
-                                   shared, &idx);
-          };
-      op = exec::Exchange(n.dop, std::move(factory),
-                          n.ordered_merge ? exec::MergeMode::kOrderedMerge
-                                          : exec::MergeMode::kUnion,
-                          n.spec, opts.pool, stats, opts.batch_rows);
+    case Kind::kExchange:
+      op = exec::Exchange(
+          n.dop, MakeFragmentFactory(*n.children[0], n.dop, tables, stats,
+                                     opts),
+          n.ordered_merge ? exec::MergeMode::kOrderedMerge
+                          : exec::MergeMode::kUnion,
+          n.spec, opts.pool, stats, opts.batch_rows);
       break;
-    }
-    case Kind::kParallelHashAgg: {
-      const PhysicalNode& tmpl = *n.children[0];
-      std::vector<std::shared_ptr<const exec::SharedHashTable>> shared;
-      BuildSharedTables(tmpl, tables, stats, opts, &shared);
-      auto ranges = MorselRanges(tmpl, tables, n.dop);
-      exec::FragmentFactory factory =
-          [&tmpl, &tables, &opts, ranges = std::move(ranges),
-           shared = std::move(shared)](int f, ExecStats* fs) {
-            size_t idx = 0;
-            return CompileFragment(tmpl, tables, fs, opts, ranges[f],
-                                   shared, &idx);
-          };
-      op = exec::ParallelHashAggregate(n.dop, std::move(factory),
-                                       n.group_cols, n.aggs, opts.pool,
-                                       stats, opts.batch_rows);
+    case Kind::kParallelHashAgg:
+      op = exec::ParallelHashAggregate(
+          n.dop, MakeFragmentFactory(*n.children[0], n.dop, tables, stats,
+                                     opts),
+          n.group_cols, n.aggs, opts.pool, stats, opts.batch_rows);
       break;
-    }
     case Kind::kCombinePartials: {
       std::vector<engine::AggSpec::Kind> kinds;
       for (const auto& a : n.aggs) kinds.push_back(a.kind);
       op = exec::CombinePartialAggregates(
-          CompileNode(*n.children[0], tables, stats, opts),
-          static_cast<int>(n.group_cols.size()), std::move(kinds),
+          child(0), static_cast<int>(n.group_cols.size()), std::move(kinds),
           opts.batch_rows);
       break;
     }
   }
+  if (frag != nullptr) return op;
   return std::make_unique<CountingOp>(std::move(op), &n);
 }
 
@@ -1353,6 +1252,15 @@ void ExplainNode(const PhysicalNode& n, int indent, std::string* out,
   for (const auto& c : n.children) ExplainNode(*c, indent + 1, out, ctx);
 }
 
+/// The closing list of OD proofs both EXPLAIN forms end with.
+void AppendProofs(const PhysicalPlan& plan, std::string* out) {
+  if (plan.proofs().empty()) return;
+  *out += "enforcers elided by OD reasoning (" +
+          std::to_string(plan.sorts_elided()) + " sorts, " +
+          std::to_string(plan.joins_elided()) + " joins):\n";
+  for (const auto& p : plan.proofs()) *out += "  * " + p + "\n";
+}
+
 }  // namespace
 
 exec::OpPtr PhysicalPlan::Compile(ExecStats* stats) const {
@@ -1381,12 +1289,7 @@ engine::Table PhysicalPlan::Execute(ExecStats* stats) const {
 std::string PhysicalPlan::Explain() const {
   std::string out;
   ExplainNode(*root_, 0, &out);
-  if (!proofs_.empty()) {
-    out += "enforcers elided by OD reasoning (" +
-           std::to_string(sorts_elided_) + " sorts, " +
-           std::to_string(joins_elided_) + " joins):\n";
-    for (const auto& p : proofs_) out += "  * " + p + "\n";
-  }
+  AppendProofs(*this, &out);
   return out;
 }
 
@@ -1406,12 +1309,7 @@ std::string PhysicalPlan::ExplainAnalyze() const {
   }
   out += "\n";
   ExplainNode(*root_, 0, &out, &ctx);
-  if (!proofs_.empty()) {
-    out += "enforcers elided by OD reasoning (" +
-           std::to_string(sorts_elided_) + " sorts, " +
-           std::to_string(joins_elided_) + " joins):\n";
-    for (const auto& p : proofs_) out += "  * " + p + "\n";
-  }
+  AppendProofs(*this, &out);
   return out;
 }
 
@@ -1423,8 +1321,7 @@ PhysicalPlan PlanQuery(const LogicalQuery& q, const CostModel& cost,
   Planner planner(q, cost);
   Cand winner = planner.Plan();
   if (options.dop > 1) {
-    ParallelizeNode(&winner.node, options.dop, cost, &winner.proofs,
-                    std::max(1, options.max_exchange_depth));
+    ParallelizeNode(&winner.node, options.dop, cost, &winner.proofs);
   }
   PhysicalPlan plan;
   plan.root_ = std::move(winner.node);

@@ -63,15 +63,10 @@ struct PlanOptions {
   /// Pool the exchanges stream fragments on at execution time (and the
   /// external sort prepares runs on). Null with dop > 1 runs fragments
   /// serially (same results, no speedup) — handy in tests. Exchanges are
-  /// placed wherever profitable — several per plan, nested up to
-  /// `max_exchange_depth` — since producers are work-stealing scheduler
-  /// tasks, not reserved threads.
+  /// placed wherever profitable — several per plan, side by side, never
+  /// nested — since producers are work-stealing scheduler tasks, not
+  /// reserved threads.
   common::ThreadPool* pool = nullptr;
-  /// How deep parallel regions may nest: 1 (default) places only flat
-  /// exchanges; >= 2 lets the partial-aggregation rewrite subdivide each
-  /// fragment's morsel behind an inner exchange of its own (each level
-  /// still cost-gated, each recording its own merge proof).
-  int max_exchange_depth = 1;
   /// Every Sort enforcer compiles to an ExternalSort; when >= 0 it holds at
   /// most this many rows in memory before spilling a sorted run to disk.
   /// < 0 = never spill: one in-memory run (the default).
@@ -180,8 +175,9 @@ struct PhysicalNode {
   /// Filled during Execute by per-node counting wrappers; -1 = not run.
   mutable int64_t actual_rows = -1;
   /// Inclusive wall-clock (this node + everything below it) spent inside
-  /// Next, in nanoseconds; -1 = not run. Fragment interiors stay -1 — the
-  /// exchange node above them is timed instead (see CompileFragment).
+  /// Next, in nanoseconds; -1 = not run. Fragment template interiors stay
+  /// -1 — the parallel node above them is timed instead (fragment compiles
+  /// add no counting wrappers).
   mutable int64_t actual_ns = -1;
 };
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/thread_pool.h"
 #include "engine/index.h"
 #include "engine/ops.h"
 #include "engine/partition.h"
@@ -324,10 +326,6 @@ TEST(PlannerThreeTableTest, StarJoinOverItemAndStore) {
   q.group_cols = {f.ss_store_sk};
   q.aggs = {{AggSpec::Kind::kSum, f.ss_net_paid, "sum_net"},
             {AggSpec::Kind::kCount, 0, "cnt"}};
-  PhysicalPlan plan = PlanQuery(q);
-  ExecStats stats;
-  Table out = plan.Execute(&stats);
-  EXPECT_EQ(stats.joins, 2);
 
   // Reference: materializing hash joins + hash aggregation.
   Table j1 = engine::HashJoin(fact, f.ss_item_sk, items, 0);
@@ -336,7 +334,40 @@ TEST(PlannerThreeTableTest, StarJoinOverItemAndStore) {
       j2, {f.ss_store_sk},
       {{AggSpec::Kind::kSum, f.ss_net_paid, "sum_net"},
        {AggSpec::Kind::kCount, 0, "cnt"}});
-  EXPECT_TRUE(engine::SameRowMultiset(ref, out));
+
+  // Serially, and at dop 4 with free fan-out, where one fragment template
+  // probes two shared hash tables.
+  common::ThreadPool pool(4);
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(dop));
+    CostModel cm;
+    PlanOptions opts;
+    if (dop > 1) {
+      cm.fragment_startup = 0;
+      opts.dop = dop;
+      opts.pool = &pool;
+    }
+    PhysicalPlan plan = PlanQuery(q, cm, opts);
+    if (dop > 1) {
+      using Kind = PhysicalNode::Kind;
+      const PhysicalNode* region = &plan.root();
+      while (region->kind != Kind::kExchange &&
+             region->kind != Kind::kParallelHashAgg) {
+        ASSERT_FALSE(region->children.empty()) << plan.Explain();
+        region = region->children[0].get();
+      }
+      int probes = 0;
+      for (const PhysicalNode* n = region; !n->children.empty();
+           n = n->children[0].get()) {
+        if (n->children[0]->kind == Kind::kHashJoin) ++probes;
+      }
+      EXPECT_EQ(probes, 2) << plan.Explain();
+    }
+    ExecStats stats;
+    Table out = plan.Execute(&stats);
+    EXPECT_EQ(stats.joins, 2);
+    EXPECT_TRUE(engine::SameRowMultiset(ref, out));
+  }
 }
 
 }  // namespace
